@@ -20,10 +20,6 @@ from .topology import (CollapseVerdict, SimplicialComplex, collapse_search,
                        independence_complex, kozlov_reference_betti,
                        link_of_face, matched_region_graph, z2_betti)
 
-# `reduce` mirrors the operation name used in the docs; `reduce_graph` avoids
-# shadowing functools.reduce at call sites that star-import.
-reduce = reduce_graph
-
 __all__ = [
     "CollapseVerdict", "CubicalMatchingComplex", "CycleDecomposition",
     "DualGraph", "Edge", "EdgeClassification", "GraphError", "Matching",
@@ -36,7 +32,7 @@ __all__ = [
     "independence_complex", "kozlov_reference_betti", "link_of_face",
     "load_graph_json", "matched_region_graph",
     "multiset_no_consecutive_count", "p_closed_form", "p_polynomial",
-    "parse_polyomino", "reduce", "reduce_graph", "region_alternations",
+    "parse_polyomino", "reduce_graph", "region_alternations",
     "symmetric_difference_cycles", "verify_edge_decomposition", "weak_dual",
     "z2_betti",
 ]

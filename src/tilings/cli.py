@@ -20,7 +20,7 @@ from .fibpoly import apply_A, f_polynomial, p_closed_form, p_polynomial, ONE, X
 from .fixtures import core_fixture_names, named_fixture
 from .matchings import cube_coordinates, enumerate_perfect_matchings
 from .planar import (GraphError, PlanarGraph, build_from_polyomino,
-                     build_planar_graph, load_graph_json)
+                     load_graph_json)
 from .topology import collapse_search, z2_betti
 from .verify import Bounds, run_verification
 

@@ -9,10 +9,9 @@ enumeration doubles as the correctness oracle for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .matchings import (Matching, enumerate_perfect_matchings,
-                        matchings_of_adjacency)
+from .matchings import Matching, matchings_of_adjacency
 from .planar import Edge, GraphError, PlanarGraph, edge_key
 
 
@@ -29,21 +28,17 @@ class TilingFace:
         return (self.dim, sorted(self.cycles), self.matching.sorted_edges())
 
 
-def face_leq(f1: TilingFace, f2: TilingFace,
-             g: Optional[PlanarGraph] = None) -> bool:
-    """Face order: f1 <= f2 iff cycles(f1) <= cycles(f2) and the matching of
-    f1 extends the matching of f2.
+def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
+    """Face order of the cubical complex of g: f1 <= f2 iff cycles(f1) <=
+    cycles(f2) and the matching of f1 is that of f2 plus one boundary
+    alternation of each region of f2 that f1 releases.
 
     The two containments alone admit spurious pairs: a matching can extend
     M_F while pairing vertices across two regions of C_F, which is not a
-    flip combination.  Pass the graph to additionally require that the extra
-    edges of f1 are boundary alternations of the released regions, which is
-    the geometric face relation of the cubical complex.
+    flip combination; the graph rules those out.
     """
     if not (f1.cycles <= f2.cycles and f1.matching.edges >= f2.matching.edges):
         return False
-    if g is None:
-        return True
     extra = f1.matching.edges - f2.matching.edges
     for r in f2.cycles - f1.cycles:
         alts = region_alternations(g, r)
@@ -138,41 +133,14 @@ def region_alternations(g: PlanarGraph, r: int) -> list[frozenset[Edge]]:
     return [a, b]
 
 
-def _independent_even_region_sets(g: PlanarGraph) -> list[frozenset[int]]:
-    even = [i for i, r in enumerate(g.regions) if r.parity == "even"]
-    vsets = {i: g.regions[i].vertex_set for i in even}
-    out: list[frozenset[int]] = []
-
-    def extend(prefix: list[int], used: frozenset[int], rest: list[int]) -> None:
-        out.append(frozenset(prefix))
-        for k, r in enumerate(rest):
-            if vsets[r] & used:
-                continue
-            extend(prefix + [r], used | vsets[r], rest[k + 1:])
-
-    extend([], frozenset(), even)
-    return out
-
-
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
-    """Enumerate every tiling of g: for each vertex-disjoint set S of even
-    regions, each perfect matching of g minus the vertices of S gives the
-    face (M, S)."""
-    faces = []
-    for S in _independent_even_region_sets(g):
-        if S:
-            covered = set()
-            for r in S:
-                covered |= g.regions[r].vertex_set
-            verts = [v for v in g.vertex_ids if v not in covered]
-            adj = {v: [u for u in g.adj[v] if u not in covered]
-                   for v in verts}
-            matchings = matchings_of_adjacency(verts, adj)
-        else:
-            matchings = enumerate_perfect_matchings(g)
-        for m in matchings:
-            faces.append(TilingFace(m, S))
-    return CubicalMatchingComplex(g, faces)
+    """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
+    from the one search of :func:`matchings_of_adjacency`."""
+    even = [(i, r.cycle) for i, r in enumerate(g.regions)
+            if r.parity == "even"]
+    return CubicalMatchingComplex(
+        g, (TilingFace(m, s)
+            for m, s in matchings_of_adjacency(g.vertex_ids, g.adj, even)))
 
 
 def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:

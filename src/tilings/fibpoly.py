@@ -69,12 +69,13 @@ class Poly:
         return Poly((0,) * k + self.coeffs)
 
     def substitute_x_minus_1(self) -> "Poly":
-        """The polynomial p(x-1)."""
-        out = [0] * len(self.coeffs)
-        for k, a in enumerate(self.coeffs):
-            for j in range(k + 1):
-                out[j] += a * comb(k, j) * (-1) ** (k - j)
-        return Poly(out)
+        """The polynomial p(x-1), by Horner's rule: acc <- acc * (x-1) + a."""
+        acc = [0] * len(self.coeffs)
+        for a in reversed(self.coeffs):
+            for i in range(len(acc) - 1, 0, -1):
+                acc[i] = acc[i - 1] - acc[i]
+            acc[0] = a - acc[0]
+        return Poly(acc)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -126,18 +127,17 @@ def f_polynomial(n: int, bump: Optional[int] = None) -> Poly:
     position ``bump``), by the two-step recurrence from enumerated bases."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if bump is None:
-        if n <= 1:
-            return _ladder_f_base(n, None)
-        return f_polynomial(n - 1) + Poly([1, 1]) * f_polynomial(n - 2)
-    if not 1 <= bump <= n:
+    if bump is not None and not 1 <= bump <= n:
         raise ValueError(f"bump {bump} out of range 1..{n}")
     # The recurrence in n at fixed bump is valid while the bump stays inside
     # the shorter ladders, so the bases sit at n = bump and n = bump + 1.
-    if n <= bump + 1:
+    lo = 0 if bump is None else bump
+    if n <= lo + 1:
         return _ladder_f_base(n, bump)
-    return (f_polynomial(n - 1, bump)
-            + Poly([1, 1]) * f_polynomial(n - 2, bump))
+    prev, cur = _ladder_f_base(lo, bump), _ladder_f_base(lo + 1, bump)
+    for _ in range(lo + 2, n + 1):
+        prev, cur = cur, cur + Poly([1, 1]) * prev
+    return cur
 
 
 def p_polynomial(n: int, bump: Optional[int] = None) -> Poly:

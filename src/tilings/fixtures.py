@@ -6,10 +6,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .matchings import enumerate_perfect_matchings
-from .planar import PlanarGraph, build_ladder, cells_connected, graph_from_cells
+from .planar import PlanarGraph, build_ladder, graph_from_cells
 
 Cell = tuple[int, int]
 

@@ -1,12 +1,13 @@
-"""Perfect matching enumeration and the cube-coordinate embedding."""
+"""Tiling and perfect matching enumeration, and the cube-coordinate
+embedding."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import point_in_polygon
-from .planar import Edge, GraphError, PlanarGraph, edge_key
+from .planar import Edge, GraphError, PlanarGraph
 
 
 @dataclass(frozen=True, order=True)
@@ -32,75 +33,72 @@ class CycleDecomposition:
 def enumerate_perfect_matchings(g: PlanarGraph) -> list[Matching]:
     """All perfect matchings, sorted lexicographically by sorted edge list.
 
-    Backtracking on the lowest-id uncovered vertex, taking forced moves
-    (uncovered vertices with a single available neighbor) eagerly.
+    These are the tilings of g without regions, found by the search of
+    :func:`matchings_of_adjacency`.
     """
-    return matchings_of_adjacency(g.vertex_ids, g.adj)
+    return [m for m, _ in matchings_of_adjacency(g.vertex_ids, g.adj)]
 
 
-def matchings_of_adjacency(vertices: Sequence[int],
-                           adj: dict[int, list[int]]) -> list[Matching]:
-    """Perfect matchings of a bare adjacency structure (no embedding needed)."""
+def matchings_of_adjacency(
+        vertices: Sequence[int],
+        adj: Mapping[int, Sequence[int]],
+        regions: Iterable[tuple[int, Iterable[int]]] = (),
+) -> list[tuple[Matching, frozenset[int]]]:
+    """Every tiling (M, S) of a bare adjacency structure: a matching M and a
+    set S of vertex-disjoint regions that together cover every vertex.
+
+    ``regions`` lists (label, vertices) pairs of even regions; S holds their
+    labels.  One backtracking search takes the lowest uncovered vertex v and
+    covers it either by an edge to an uncovered neighbour or by a region
+    whose lowest vertex is v and whose vertices are all uncovered, so each
+    tiling is found exactly once.  Edges are tried before regions, in the
+    order of ``adj``; with sorted lists, as a PlanarGraph keeps them, the
+    tilings without regions come out in lexicographic order of their sorted
+    edge lists.
+    """
+    # Edges and even regions each cover an even number of vertices.
     if len(vertices) % 2 == 1:
         return []
-    uncovered = set(vertices)
-    chosen: list[Edge] = []
-    out: list[list[Edge]] = []
+    order = sorted(vertices)
+    starting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for label, vs in regions:
+        vs = sorted(vs)
+        starting.setdefault(vs[0], []).append((label, tuple(vs[1:])))
+    covered: set[int] = set()
+    edges: list[Edge] = []
+    out: list[tuple[Matching, frozenset[int]]] = []
 
-    def propagate() -> Optional[list[Edge]]:
-        """Take all degree-1 forced moves; None signals a dead end."""
-        taken = []
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(uncovered):
-                free = [u for u in adj[v] if u in uncovered]
-                if not free:
-                    for u, w in reversed(taken):
-                        uncovered.add(u)
-                        uncovered.add(w)
-                        chosen.pop()
-                    return None
-                if len(free) == 1:
-                    u = free[0]
-                    uncovered.discard(v)
-                    uncovered.discard(u)
-                    chosen.append(edge_key(v, u))
-                    taken.append((v, u))
-                    changed = True
-                    break
-        return taken
-
-    def undo(taken: list[Edge]) -> None:
-        for u, w in reversed(taken):
-            uncovered.add(u)
-            uncovered.add(w)
-            chosen.pop()
-
-    def search() -> None:
-        taken = propagate()
-        if taken is None:
+    # ``used`` is shared by every tiling found below one choice of regions.
+    def search(i: int, used: frozenset[int]) -> None:
+        while i < len(order) and order[i] in covered:
+            i += 1
+        if i == len(order):
+            out.append((Matching(frozenset(edges)), used))
             return
-        if not uncovered:
-            out.append(sorted(chosen))
-            undo(taken)
-            return
-        v = min(uncovered)
+        v = order[i]
+        covered.add(v)
         for u in adj[v]:
-            if u not in uncovered:
+            if u in covered:
                 continue
-            uncovered.discard(v)
-            uncovered.discard(u)
-            chosen.append(edge_key(v, u))
-            search()
-            chosen.pop()
-            uncovered.add(v)
-            uncovered.add(u)
-        undo(taken)
+            covered.add(u)
+            # Every vertex below v is covered, so v < u.
+            edges.append((v, u))
+            search(i + 1, used)
+            edges.pop()
+            covered.discard(u)
+        for label, rest in starting.get(v, ()):
+            if not covered.isdisjoint(rest):
+                continue
+            covered.update(rest)
+            search(i + 1, used | {label})
+            covered.difference_update(rest)
+        covered.discard(v)
 
-    search()
-    out.sort()
-    return [Matching(frozenset(edges)) for edges in out]
+    search(0, frozenset())
+    # Break the cycle search -> closure -> search, which would keep every
+    # tiling found alive until the next full garbage collection.
+    del search
+    return out
 
 
 def symmetric_difference_cycles(m1: Matching, m2: Matching) -> CycleDecomposition:
@@ -155,9 +153,8 @@ def cube_coordinates(g: PlanarGraph,
         raise GraphError("region_order must list every region exactly once")
     pts = [g.region_interior_point(r) for r in region_order]
 
-    from .matchings import enumerate_perfect_matchings as _enum
     coords = {}
-    for m in _enum(g):
+    for m in enumerate_perfect_matchings(g):
         dec = symmetric_difference_cycles(m, base)
         x = [0] * d
         for cycle in dec.cycles:

@@ -9,7 +9,7 @@ they are then validated against the drawing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Sequence
@@ -84,8 +84,7 @@ class PlanarGraph:
     ``regions`` holds the tiling-eligible elementary regions.  By default
     these are all bounded faces of the drawing that are simple cycles and do
     not enclose vertices of other components; an explicit subset can be
-    supplied instead (used by :func:`reduce_graph` and the decomposition
-    checks).
+    supplied instead.
     """
 
     def __init__(self,
@@ -96,8 +95,6 @@ class PlanarGraph:
         self.coords: dict[int, Point] = {
             int(v): as_point(x, y) for v, (x, y) in vertices.items()
         }
-        if len(self.coords) != len(set(self.coords)):
-            raise GraphError("duplicate vertex ids")
         seen_pts = {}
         for v, p in self.coords.items():
             if p in seen_pts:
@@ -106,6 +103,8 @@ class PlanarGraph:
 
         edge_set: set[Edge] = set()
         for e in edges:
+            if len(e) != 2:
+                raise GraphError(f"edge {list(e)} does not have two endpoints")
             u, v = int(e[0]), int(e[1])
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -280,29 +279,25 @@ class PlanarGraph:
     def subgraph(self,
                  remove_vertices: Iterable[int] = (),
                  remove_edges: Iterable[Sequence[int]] = ()) -> "PlanarGraph":
-        """Delete vertices/edges; surviving regions are those of this graph
-        that are still bounded faces of the new drawing."""
+        """Delete vertices/edges; the regions kept are those of this graph
+        whose whole edge set survives.
+
+        Deleting vertices or edges only merges faces of the drawing, so a
+        region stays a face exactly when its boundary survives.  The result
+        is therefore this graph filtered: no re-trace and no re-validation.
+        """
         rv = set(remove_vertices)
         re = {edge_key(*e) for e in remove_edges}
-        verts = {v: self.coords[v] for v in self.coords if v not in rv}
-        edges = [e for e in self.edges
-                 if e not in re and e[0] not in rv and e[1] not in rv]
-        # The parent drawing was already validated: deletions cannot
-        # introduce crossings, so skip the quadratic re-check.
-        auto = PlanarGraph(verts, edges, check_crossings=False)
-        old = {r.edge_set for r in self.regions}
-        keep = [r for r in auto.regions if r.edge_set in old]
-        return auto._with_regions(keep)
-
-    def _with_regions(self, keep: list[Region]) -> "PlanarGraph":
-        """Copy of this graph restricted to a subset of its own regions,
-        without re-running any validation."""
-        clone = object.__new__(PlanarGraph)
-        clone.coords = self.coords
-        clone.edges = self.edges
-        clone.adj = self.adj
-        clone.regions = tuple(sorted(keep, key=lambda r: sorted(r.cycle)))
-        return clone
+        sub = object.__new__(PlanarGraph)
+        sub.coords = {v: p for v, p in self.coords.items() if v not in rv}
+        sub.edges = frozenset(e for e in self.edges if e not in re
+                              and e[0] not in rv and e[1] not in rv)
+        sub.adj = {v: [u for u in nbrs
+                       if u not in rv and edge_key(v, u) not in re]
+                   for v, nbrs in self.adj.items() if v not in rv}
+        sub.regions = tuple(r for r in self.regions
+                            if r.edge_set <= sub.edges)
+        return sub
 
     def to_json_obj(self) -> dict:
         return {
@@ -330,12 +325,18 @@ def build_planar_graph(spec: Mapping) -> PlanarGraph:
     "regions": [[v1,...]...]?}`` with coordinates as "p/q" strings or numbers.
     """
     try:
-        vertices = {int(v["id"]): (Fraction(str(v["x"])), Fraction(str(v["y"])))
-                    for v in spec["vertices"]}
-        edges = [tuple(e) for e in spec["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices = {}
+        for v in spec["vertices"]:
+            vid = int(v["id"])
+            if vid in vertices:
+                raise GraphError(f"duplicate vertex id {vid}")
+            vertices[vid] = (Fraction(str(v["x"])), Fraction(str(v["y"])))
+        edges = [tuple(int(u) for u in e) for e in spec["edges"]]
+        regions = spec.get("regions")
+        if regions is not None:
+            regions = [tuple(int(u) for u in cyc) for cyc in regions]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GraphError(f"malformed graph description: {exc}") from exc
-    regions = spec.get("regions")
     return PlanarGraph(vertices, edges, regions=regions)
 
 
@@ -451,23 +452,15 @@ def reduce_graph(g: PlanarGraph) -> PlanarGraph:
     every remaining edge is free.  Regions of the result are exactly the
     surviving regions of the input: faces created by the deletions cannot be
     used in any tiling and are excluded."""
-    cls = classify_edges(g)
-    if not cls.has_perfect_matching:
-        raise GraphError("graph has no perfect matching")
-    original = {r.edge_set for r in g.regions}
     current = g
     while True:
         cls = classify_edges(current)
+        if not cls.has_perfect_matching:
+            raise GraphError("graph has no perfect matching")
         forbidden = [e for e, s in cls.status.items() if s == "forbidden"]
         forced = [e for e, s in cls.status.items() if s == "forced"]
         if not forbidden and not forced:
             return current
-        drop_vertices = {v for e in forced for v in e}
-        verts = {v: current.coords[v] for v in current.coords
-                 if v not in drop_vertices}
-        edges = [e for e in current.edges
-                 if e not in forbidden
-                 and e[0] not in drop_vertices and e[1] not in drop_vertices]
-        auto = PlanarGraph(verts, edges, check_crossings=False)
-        keep = [r for r in auto.regions if r.edge_set in original]
-        current = auto._with_regions(keep)
+        current = current.subgraph(
+            remove_vertices={v for e in forced for v in e},
+            remove_edges=forbidden)

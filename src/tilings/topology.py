@@ -9,7 +9,8 @@ from typing import Optional, Union
 
 import networkx as nx
 
-from .complexes import CubicalMatchingComplex, TilingFace, face_leq
+from .complexes import (CubicalMatchingComplex, TilingFace, face_leq,
+                        region_alternations)
 from .matchings import Matching
 from .planar import GraphError, weak_dual
 
@@ -46,31 +47,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
-    def is_isomorphic_to(self, other: "SimplicialComplex") -> bool:
-        if self.facets == other.facets and self.vertices == other.vertices:
-            return True
-        if len(self.vertices) != len(other.vertices):
-            return False
-        sizes = sorted(len(f) for f in self.facets)
-        if sizes != sorted(len(f) for f in other.facets):
-            return False
-        # Exhaustive search on the facet hypergraphs (inputs are tiny).
-        g1 = _facet_graph(self)
-        g2 = _facet_graph(other)
-        return nx.is_isomorphic(g1, g2,
-                                node_match=lambda a, b: a["kind"] == b["kind"])
-
-
-def _facet_graph(c: SimplicialComplex) -> nx.Graph:
-    g = nx.Graph()
-    for v in c.vertices:
-        g.add_node(("v", v), kind="v")
-    for f in c.facets:
-        g.add_node(("f", f), kind=f"f{len(f)}")
-        for v in f:
-            g.add_edge(("v", v), ("f", f))
-    return g
-
 
 def independence_complex(h: nx.Graph) -> SimplicialComplex:
     """Complex of all independent vertex sets of a simple graph."""
@@ -102,8 +78,10 @@ def matched_region_graph(k: CubicalMatchingComplex,
     if f not in k:
         raise GraphError("face does not belong to the complex")
     g = k.graph
-    alternating = [r for r in range(len(g.regions))
-                   if _alternates(g, r, f.matching)]
+    alternating = [r for r, region in enumerate(g.regions)
+                   if region.parity == "even"
+                   and any(alt <= f.matching.edges
+                           for alt in region_alternations(g, r))]
     dual = _dual_cache.get(g)
     if dual is None:
         dual = weak_dual(g)
@@ -114,17 +92,6 @@ def matched_region_graph(k: CubicalMatchingComplex,
         if a in alternating and b in alternating:
             out.add_edge(a, b)
     return out
-
-
-def _alternates(g, r: int, m: Matching) -> bool:
-    cyc = g.regions[r].cycle
-    n = len(cyc)
-    if n % 2 == 1:
-        return False
-    from .planar import edge_key
-    flags = [edge_key(cyc[i], cyc[(i + 1) % n]) in m.edges for i in range(n)]
-    return (all(flags[::2]) and not any(flags[1::2])) or \
-           (all(flags[1::2]) and not any(flags[::2]))
 
 
 def link_of_face(k: CubicalMatchingComplex, f: TilingFace,

@@ -120,3 +120,25 @@ def test_output_byte_stable(capsys):
     one = run(capsys, "complex", "g2", "--format", "json")
     two = run(capsys, "complex", "g2", "--format", "json")
     assert one == two
+
+
+@pytest.mark.parametrize("spec", [
+    {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 0, "x": 1, "y": 0}],
+     "edges": []},
+    {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+     "edges": [[0]]},
+    {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0},
+                  {"id": 2, "x": 0, "y": 1}],
+     "edges": [[0, 1, 2]]},
+    {"vertices": [{"id": 0, "x": "1/0", "y": 0}], "edges": []},
+    {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+     "edges": [[0, 1]], "regions": [5]},
+], ids=["duplicate-id", "short-edge", "long-edge", "zero-denominator",
+        "scalar-region"])
+def test_complex_malformed_graph_fails(tmp_path, capsys, spec):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "complex", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

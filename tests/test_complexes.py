@@ -1,10 +1,17 @@
-import pytest
+import itertools
 
-from tilings.complexes import (build_complex, face_leq,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilings.complexes import (TilingFace, build_complex, face_leq,
                                verify_edge_decomposition)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
-                              figure_g3, triangular_prism)
-from tilings.planar import GraphError, PlanarGraph, build_ladder
+                              figure_g3, is_simply_connected,
+                              triangular_prism)
+from tilings.matchings import Matching, enumerate_perfect_matchings
+from tilings.planar import (GraphError, PlanarGraph, build_ladder,
+                            cells_connected, graph_from_cells)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -50,9 +57,10 @@ class TestBuildComplex:
 
 class TestFaceOrder:
     def test_reflexive(self):
-        k = build_complex(c4())
+        g = c4()
+        k = build_complex(g)
         for f in k.faces:
-            assert face_leq(f, f)
+            assert face_leq(f, f, g)
 
     def test_flip_below_face(self):
         g = build_ladder(2)
@@ -60,12 +68,13 @@ class TestFaceOrder:
         for f in k.faces:
             for sub in k.facets_of(f):
                 assert face_leq(sub, f, g)
-                assert not face_leq(f, sub)
+                assert not face_leq(f, sub, g)
 
     def test_distinct_vertices_incomparable(self):
-        k = build_complex(c4())
+        g = c4()
+        k = build_complex(g)
         v1, v2 = k.vertices()
-        assert not face_leq(v1, v2) and not face_leq(v2, v1)
+        assert not face_leq(v1, v2, g) and not face_leq(v2, v1, g)
 
     def test_geometric_order_excludes_cross_pairings(self):
         # In the 2x4 ladder the top face over squares {0, 2} has matching
@@ -75,9 +84,12 @@ class TestFaceOrder:
         k = build_complex(g)
         top = [f for f in k.faces if f.dim == 2][0]
         below = [v for v in k.vertices() if face_leq(v, top, g)]
-        loose = [v for v in k.vertices() if face_leq(v, top)]
         assert len(below) == 4
-        assert len(loose) == 5
+        middle = [v for v in k.vertices()
+                  if v.matching.edges == {(0, 1), (2, 4), (3, 5), (6, 7)}]
+        assert len(middle) == 1
+        assert middle[0].matching.edges >= top.matching.edges
+        assert not face_leq(middle[0], top, g)
 
     def test_interval_counts(self):
         g = build_ladder(5)
@@ -159,3 +171,74 @@ def test_serialize_shape():
     assert len(data) == len(k.faces)
     assert data[0] == {"matching": [[0, 1], [2, 3]], "cycles": []}
     assert data[-1]["cycles"] == [0]
+
+
+# -- the one search against a brute-force reference -------------------------
+
+
+def brute_force_faces(g):
+    """Independent sets of even regions times the perfect matchings of the
+    rest, every matching found among all edge subsets of the right size."""
+    even = [i for i, r in enumerate(g.regions) if r.parity == "even"]
+    faces = []
+    for k in range(len(even) + 1):
+        for regions in itertools.combinations(even, k):
+            vsets = [g.regions[r].vertex_set for r in regions]
+            covered = frozenset().union(*vsets)
+            if sum(map(len, vsets)) != len(covered):
+                continue
+            rest = set(g.vertex_ids) - covered
+            edges = [e for e in sorted(g.edges) if not covered & set(e)]
+            for m in itertools.combinations(edges, len(rest) // 2):
+                if {v for e in m for v in e} == rest:
+                    faces.append(TilingFace(Matching(frozenset(m)),
+                                            frozenset(regions)))
+    return sorted(faces, key=TilingFace.sort_key)
+
+
+def assert_matches_brute_force(g):
+    want = brute_force_faces(g)
+    assert list(build_complex(g).faces) == want
+    matchings = [f.matching for f in want if f.dim == 0]
+    assert enumerate_perfect_matchings(g) == sorted(
+        matchings, key=Matching.sorted_edges)
+
+
+@st.composite
+def grown_polyominoes(draw, max_cells=12):
+    """An even number of cells grown one edge-neighbour at a time."""
+    n = 2 * draw(st.integers(1, max_cells // 2))
+    cells = {(0, 0)}
+    while len(cells) < n:
+        boundary = sorted({nb for r, c in cells
+                           for nb in ((r + 1, c), (r - 1, c),
+                                      (r, c + 1), (r, c - 1))} - cells)
+        cells.add(draw(st.sampled_from(boundary)))
+    return frozenset(cells)
+
+
+@st.composite
+def punched_boxes(draw):
+    """A box of 12 cells with a few cells taken out: many overlapping
+    squares."""
+    rows, cols = draw(st.sampled_from([(3, 4), (4, 3), (2, 6)]))
+    box = sorted((r, c) for r in range(rows) for c in range(cols))
+    return frozenset(box) - draw(st.sets(st.sampled_from(box), max_size=4))
+
+
+def simply_connected_polyominoes():
+    return st.one_of(grown_polyominoes(), punched_boxes()).filter(
+        lambda cells: len(cells) % 2 == 0 and cells_connected(set(cells))
+        and is_simply_connected(cells))
+
+
+@settings(max_examples=100, deadline=None)
+@given(simply_connected_polyominoes())
+def test_build_complex_matches_brute_force_on_polyominoes(cells):
+    assert_matches_brute_force(graph_from_cells(set(cells)))
+
+
+@pytest.mark.parametrize("build", [figure_g1, figure_g2, figure_g3,
+                                   figure_counterexample, triangular_prism])
+def test_build_complex_matches_brute_force_on_figures(build):
+    assert_matches_brute_force(build())

@@ -79,6 +79,10 @@ class TestFPolynomials:
         with pytest.raises(ValueError):
             f_polynomial(-1)
 
+    def test_long_ladder_without_deep_recursion(self):
+        # Far past the interpreter's recursion limit.
+        assert f_polynomial(1200)(0) == fibonacci(1202)
+
 
 class TestPPolynomials:
     def test_small_values(self):

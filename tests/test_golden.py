@@ -1,0 +1,128 @@
+"""Byte-identical CLI output on the core fixtures.
+
+The table holds the SHA-256 of
+``tilings complex NAME --betti --collapse --cube --format json`` for each
+core fixture.  A refactor that changes any byte of that output fails here;
+the table changes only with an intended change of output.
+"""
+
+import hashlib
+
+import pytest
+
+from tilings.cli import main
+from tilings.fixtures import core_fixture_names
+
+DIGESTS = {
+    "g1":
+        "accbd1e02dedb51ec987953981758bae5d681df49aeabd4149cad0dedaf064c6",
+    "g2":
+        "cf9b42288dda45cafbcc26b8c411b0255d0a692de03ab80b0eb50e3ea8ce4e24",
+    "g3":
+        "ab7d1c7fad0b1f750de4a69ed9bca9c85d96f855740b6157c1d41a833c03c639",
+    "figure2":
+        "d05b0fe5f20445d35cffe51dff94e1d945e7deefd697b3aee064f776a0104193",
+    "prism":
+        "70b9c079799bf6bc5fd320bd4e5c82972caecc92e45d81f9f37b24525be5f990",
+    "ladder-1":
+        "c2dcaa384d9439a0681530c7a07302bff320243668fff42c21eace29ba4fa4a8",
+    "ladder-1-1":
+        "9bd9ea76a7cdc99deaf7499fcec65fcc359077d151185fca8217901189e8204d",
+    "ladder-2":
+        "a012d1108cf095eaeb9d1d707bba13101bb6aee1c6a4fb4731894ec2708a953a",
+    "ladder-2-1":
+        "1eed30b2e7de5caf5871254c605ab45b7900934cb50cdcc331ef5a6dda63e0ef",
+    "ladder-2-2":
+        "cbe69b9feeef3257ccebfafbaae439ca777fa55654d3b34846df50561d677926",
+    "ladder-3":
+        "959a31800566aa1dae32d414cfe7f3474d495a707d61c94012dcc2a4865c5bea",
+    "ladder-3-1":
+        "b801fe78911f384f97a1113f04c7c2fb25f55c63ae0fa0d55551d3c29fc8e8ec",
+    "ladder-3-2":
+        "877df83757012272512382542f09665b78f1f17065371c2977a204500faf005a",
+    "ladder-3-3":
+        "7a5f7dd4df0527ab5b34ae5dc055e8ad0fd7250005cad142ead377601bc1cd7a",
+    "ladder-4":
+        "bf314fcfb3ad6214eaca6ed08958e59a021fbafe8a6483a3381f57293c6ce2bd",
+    "ladder-4-1":
+        "8fb1150a79c95207e5fd9a576e32b5f3fdf69ccd78bc2839e962884d223944bc",
+    "ladder-4-2":
+        "f9b20ec12fadb495d9458a20248c3551c676689702a6362c83e7a0211b43d58b",
+    "ladder-4-3":
+        "611208c34879bbd4854be2f7d84d91fe4ecafc096dfe63a94ceefba2e7e975ec",
+    "ladder-4-4":
+        "3e52e43c16ee483e535fc6ad700ea50fc2f06818b25d639e3af605c24035b801",
+    "ladder-5":
+        "d2b1cf4de122e10cfacfef8cd54423c8e9d1afd6ed4126b35c10ef21ff21310e",
+    "ladder-5-1":
+        "270c55e715c40bd58be3e47ca8e864fb42054a138dccd3be18bf8ecd11e0b965",
+    "ladder-5-2":
+        "486af4b04712a3ec14de554ae1b04e14f01a5da131113c5cda8b9b4a9256f0bd",
+    "ladder-5-3":
+        "4b7595dc605308e95b4730e67ed12feaa2cbc7ea5ef0b43aabd4c30d966b3803",
+    "ladder-5-4":
+        "c2f5caf9bb0d10f18a4809e2ee6d4c28e5ecd02bcd1e41152d41d18f43ce2355",
+    "ladder-5-5":
+        "2cf0b9919abc24d68b3546396be2cc2cc23b1b04380b4544a805f886bfba214a",
+    "ladder-6":
+        "541dfc72835b91843536c290eae74cd5ebe4a53353048efa58f0b0dcb5f7ff50",
+    "ladder-6-1":
+        "f4062bcf56094751860e4abcfcfab8e008d06f1bbb7bea341c01b5730604a3de",
+    "ladder-6-2":
+        "faa92340ee49d61c57d97f77c5af9bf5a7b2d230e903008a5f168327f436a91b",
+    "ladder-6-3":
+        "b6036d1f94eea8eae0bf2521464929073d6ae1ae973b6ab0436d9a423a73e19d",
+    "ladder-6-4":
+        "50cdc7008881a7c347dbf11d863389cddcb252331267584f37bdfd2bcf435541",
+    "ladder-6-5":
+        "ace278b77d3c81f730a4280e00de7e831aa7108de690bffc4268a2af8e347c36",
+    "ladder-6-6":
+        "cdd5bee5a92c4cdaa8c6fbca997000e2385a9c9e41fb3ae4cb159335a061f9e5",
+    "ladder-7":
+        "10fa246baf44130b2be98b7fddda3dab37bdaf257d001243bab901fac1067d67",
+    "ladder-7-1":
+        "cce741fcc7e33f0876997de67e40eeb3784bf1f50838bc04719199b0e6aa1af6",
+    "ladder-7-2":
+        "0577ef663c68530815729f218b654f6e8c27b891c102dbfb883065d41fc00cf8",
+    "ladder-7-3":
+        "fff640aefa1e189fb68e890fafd1b7ddaa8f74aa9e3718fc1ac48267258b50ac",
+    "ladder-7-4":
+        "4db2cf9a2e9fb5973bd4a69fa4914008aea8ede7df9e1ea1fea0a24789e4564c",
+    "ladder-7-5":
+        "a14330a35b03db91864f594056ea3db3fbf85443f6c8b34ebee7fb48d6008e0a",
+    "ladder-7-6":
+        "1501b342fe6356aaf936dc580aadd482c2547c3f2e330b95e4b04f58e69b3c17",
+    "ladder-7-7":
+        "c0f0e8ce84b91af920ecaa68fe94b92d715191f512e2362924bd24ba8f973d8f",
+    "ladder-8":
+        "d07556d5dda0f7d2d573e655a6cdce2b04378ba2e7c54081234dd160c312570e",
+    "ladder-8-1":
+        "9a2242ce14849675dd334f4b7fadf064b06c3fbd236854b5bedc63757a6f483d",
+    "ladder-8-2":
+        "d4f785c7b203339f21a75cfd5e23fe5a6d68d5ebd4027803652aa146af4c20b3",
+    "ladder-8-3":
+        "92e210fbeb7e87497745e697decd007ee99226f07b6e292418d30dd06063c734",
+    "ladder-8-4":
+        "6d65a1b17ba9bdc039adf993adf5b4d14421dfd3a606d961436078dc60193e8e",
+    "ladder-8-5":
+        "0d7118a9276822ba5151c4a88c9fbb1c70e810e7562d8ad8e6698475d245c648",
+    "ladder-8-6":
+        "f55aaf8b5815585c1d09aa019c7f5e3c840f116dcda172f49582921fdd1d1b5f",
+    "ladder-8-7":
+        "2a6389e34157dd5c39f04f59ec8ac01b0a89c13754ed0e1e4276120f48610106",
+    "ladder-8-8":
+        "fe892d9af5d4c8c7452d06cf584ecd6a067d239c4521b53fb951c534e1092584",
+}
+
+
+def test_table_covers_the_core_fixtures():
+    assert sorted(DIGESTS) == sorted(core_fixture_names())
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_complex_output_digest(capsys, name):
+    code = main(["complex", name, "--betti", "--collapse", "--cube",
+                 "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

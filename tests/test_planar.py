@@ -1,12 +1,17 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilings.fixtures import figure_counterexample, figure_g1
+from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
+                              figure_g3, polyomino_zoo, triangular_prism)
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
                             build_ladder, build_planar_graph, classify_edges,
-                            parse_polyomino, reduce_graph, weak_dual)
+                            graph_from_cells, parse_polyomino,
+                            reduce_graph, weak_dual)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -237,3 +242,40 @@ def test_euler_formula_validated():
     for g in [figure_g1(), build_ladder(5), build_ladder(4, bump=2)]:
         for labels in [g.component_labels()]:
             assert len(set(labels.values())) == 1
+
+
+# -- sub-embeddings against a full rebuild ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def parent_graphs():
+    graphs = [figure_g1(), figure_g2(), figure_g3(), figure_counterexample(),
+              triangular_prism(), build_ladder(4), build_ladder(3, bump=2)]
+    graphs += [graph_from_cells(set(cells)) for _, cells in polyomino_zoo(8)]
+    return graphs
+
+
+@st.composite
+def deletions(draw):
+    g = draw(st.sampled_from(parent_graphs()))
+    rv = draw(st.sets(st.sampled_from(g.vertex_ids), max_size=3))
+    re = draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=4))
+    return g, rv, re
+
+
+@settings(max_examples=150, deadline=None)
+@given(deletions())
+def test_subgraph_matches_rebuild(case):
+    g, rv, re = case
+    # Edges may be named with their endpoints in either order.
+    sub = g.subgraph(remove_vertices=rv,
+                     remove_edges=[(v, u) for u, v in re])
+    verts = {v: p for v, p in g.coords.items() if v not in rv}
+    edges = [e for e in g.edges if e not in re and not rv & set(e)]
+    rebuilt = PlanarGraph(verts, edges)
+    old = {r.edge_set for r in g.regions}
+    regions = [r.cycle for r in rebuilt.regions if r.edge_set in old]
+    assert sub.coords == rebuilt.coords
+    assert sub.edges == rebuilt.edges
+    assert sub.adj == rebuilt.adj
+    assert [r.cycle for r in sub.regions] == regions
