@@ -66,6 +66,8 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
+        if k < 0:
+            raise ValueError(f"shift by a negative power x^{k}")
         return Poly((0,) * k + self.coeffs)
 
     def substitute_x_minus_1(self) -> "Poly":

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from .matchings import matchings_of_adjacency
 from .planar import PlanarGraph, build_ladder, graph_from_cells
 
 Cell = tuple[int, int]
@@ -143,18 +144,11 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
 
 
 def _has_perfect_matching(cells: frozenset[Cell]) -> bool:
-    if len(cells) % 2:
-        return False
-    import networkx as nx
-    g = nx.Graph()
-    g.add_nodes_from(cells)
-    for r, c in cells:
-        for nb in ((r, c + 1), (r + 1, c)):
-            if nb in cells:
-                g.add_edge((r, c), nb)
-    m = nx.bipartite.maximum_matching(
-        g, top_nodes=[x for x in cells if sum(x) % 2 == 0])
-    return len(m) == len(cells)
+    """Whether the cells have a domino tiling, by the one tiling search."""
+    adj = {(r, c): [nb for nb in ((r - 1, c), (r, c - 1), (r, c + 1),
+                                  (r + 1, c)) if nb in cells]
+           for r, c in cells}
+    return bool(matchings_of_adjacency(sorted(cells), adj))
 
 
 @lru_cache(maxsize=None)

@@ -327,22 +327,32 @@ def build_planar_graph(spec: Mapping) -> PlanarGraph:
     try:
         vertices = {}
         for v in spec["vertices"]:
-            vid = int(v["id"])
+            vid = _vertex_id(v["id"])
             if vid in vertices:
                 raise GraphError(f"duplicate vertex id {vid}")
             vertices[vid] = (Fraction(str(v["x"])), Fraction(str(v["y"])))
-        edges = [tuple(int(u) for u in e) for e in spec["edges"]]
+        edges = [tuple(map(_vertex_id, e)) for e in spec["edges"]]
         regions = spec.get("regions")
         if regions is not None:
-            regions = [tuple(int(u) for u in cyc) for cyc in regions]
+            regions = [tuple(map(_vertex_id, cyc)) for cyc in regions]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GraphError(f"malformed graph description: {exc}") from exc
     return PlanarGraph(vertices, edges, regions=regions)
 
 
+def _vertex_id(x) -> int:
+    if type(x) is not int:  # not a bool, a float or a string
+        raise GraphError(f"vertex id {x!r} is not an integer")
+    return x
+
+
 def load_graph_json(path) -> PlanarGraph:
     with open(path) as fh:
-        return build_planar_graph(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except RecursionError:
+            raise GraphError("JSON nested too deeply") from None
+    return build_planar_graph(spec)
 
 
 def parse_polyomino(grid_text: str) -> set[tuple[int, int]]:

@@ -5,9 +5,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
-
-import networkx as nx
+from typing import Collection, Mapping, Optional, Union
 
 from .complexes import (CubicalMatchingComplex, TilingFace, face_leq,
                         region_alternations)
@@ -48,49 +46,44 @@ class SimplicialComplex:
         return max((len(f) - 1 for f in self.facets), default=-1)
 
 
-def independence_complex(h: nx.Graph) -> SimplicialComplex:
-    """Complex of all independent vertex sets of a simple graph."""
-    nodes = sorted(h.nodes, key=repr)
-    faces = [frozenset()]
+def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
+    """Complex of the independent vertex sets of a graph given by neighbours."""
+    faces = []
 
     def extend(chosen: frozenset, rest: list) -> None:
         for k, v in enumerate(rest):
-            if any(h.has_edge(v, u) for u in chosen):
+            if any(u in h[v] for u in chosen):
                 continue
             faces.append(chosen | {v})
             extend(chosen | {v}, rest[k + 1:])
 
-    extend(frozenset(), nodes)
-    sc = SimplicialComplex.from_faces(f for f in faces if f)
-    # Keep isolated vertices of h as vertices of the complex.
-    return SimplicialComplex(frozenset(nodes), sc.facets
-                             if sc.facets else frozenset(
-                                 frozenset({v}) for v in nodes))
+    extend(frozenset(), sorted(h, key=repr))
+    # Every vertex is a face, so the facets cover the isolated vertices too.
+    return SimplicialComplex.from_faces(faces)
 
 
 _dual_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def matched_region_graph(k: CubicalMatchingComplex,
-                         f: TilingFace) -> nx.Graph:
+                         f: TilingFace) -> dict[int, set[int]]:
     """The subgraph of the weak dual induced on regions whose boundary
-    alternates in and out of the face's matching."""
+    alternates in and out of the face's matching, as neighbour sets."""
     if f not in k:
         raise GraphError("face does not belong to the complex")
     g = k.graph
-    alternating = [r for r, region in enumerate(g.regions)
-                   if region.parity == "even"
-                   and any(alt <= f.matching.edges
-                           for alt in region_alternations(g, r))]
+    out: dict[int, set[int]] = {
+        r: set() for r, region in enumerate(g.regions)
+        if region.parity == "even"
+        and any(alt <= f.matching.edges for alt in region_alternations(g, r))}
     dual = _dual_cache.get(g)
     if dual is None:
         dual = weak_dual(g)
         _dual_cache[g] = dual
-    out = nx.Graph()
-    out.add_nodes_from(alternating)
     for a, b in dual.adjacency:
-        if a in alternating and b in alternating:
-            out.add_edge(a, b)
+        if a in out and b in out:
+            out[a].add(b)
+            out[b].add(a)
     return out
 
 

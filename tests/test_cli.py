@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,8 +136,12 @@ def test_output_byte_stable(capsys):
     {"vertices": [{"id": 0, "x": "1/0", "y": 0}], "edges": []},
     {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
      "edges": [[0, 1]], "regions": [5]},
+    {"vertices": [{"id": 1.5, "x": 0, "y": 0}], "edges": []},
+    {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+     "edges": [[0, 1.9]]},
+    {"vertices": [{"id": True, "x": 0, "y": 0}], "edges": []},
 ], ids=["duplicate-id", "short-edge", "long-edge", "zero-denominator",
-        "scalar-region"])
+        "scalar-region", "float-id", "float-endpoint", "bool-id"])
 def test_complex_malformed_graph_fails(tmp_path, capsys, spec):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(spec))
@@ -142,3 +149,27 @@ def test_complex_malformed_graph_fails(tmp_path, capsys, spec):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_complex_deeply_nested_json_fails(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "complex", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_poly_negative_power_fails(capsys):
+    code, out, err = run(capsys, "poly", "A", "2", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is a test-only dependency: the package must not import it.
+    code = ("import sys, tilings, tilings.cli; "
+            "assert 'networkx' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -27,6 +27,8 @@ class TestPoly:
         assert (3 * p).coeffs == (3, 3)
         assert (-p).coeffs == (-1, -1)
         assert p.shift(2).coeffs == (0, 0, 1, 1)
+        with pytest.raises(ValueError, match="negative"):
+            p.shift(-1)
 
     def test_substitution_and_eval(self):
         # (x+1)^2 at x-1 gives x^2.

@@ -1,8 +1,10 @@
+import networkx as nx
 import pytest
 
 from tilings.complexes import build_complex
-from tilings.fixtures import (canonical_form, core_fixture_names,
-                              free_polyominoes, is_simply_connected,
+from tilings.fixtures import (_has_perfect_matching, canonical_form,
+                              core_fixture_names, free_polyominoes,
+                              is_simply_connected,
                               iter_fixture_graphs, named_fixture,
                               polyomino_zoo, random_quad_glued)
 from tilings.planar import graph_from_cells
@@ -63,6 +65,25 @@ def test_zoo_members_are_tileable_and_even():
         assert is_simply_connected(cells)
         g = graph_from_cells(set(cells))
         assert build_complex(g).f_vector()[0] >= 1
+
+
+def hopcroft_karp_tileable(cells):
+    """The Hopcroft-Karp test the tiling search replaced."""
+    g = nx.Graph()
+    g.add_nodes_from(cells)
+    for r, c in cells:
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in cells:
+                g.add_edge((r, c), nb)
+    m = nx.bipartite.hopcroft_karp_matching(
+        g, top_nodes=[x for x in cells if sum(x) % 2 == 0])
+    return len(m) == len(cells)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tileability_matches_hopcroft_karp(n):
+    for cells in free_polyominoes(n):
+        assert _has_perfect_matching(cells) == hopcroft_karp_tileable(cells)
 
 
 def test_zoo_grows_with_bound():

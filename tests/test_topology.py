@@ -36,6 +36,14 @@ class TestIndependenceComplex:
         assert sc.vertices == frozenset({0})
         assert z2_betti(sc) == (1,)
 
+    @pytest.mark.parametrize("make,n", [(nx.path_graph, n) for n in range(1, 9)]
+                             + [(nx.cycle_graph, n) for n in range(3, 9)]
+                             + [(nx.empty_graph, 0)])
+    def test_neighbour_sets_match_networkx_graph(self, make, n):
+        h = make(n)
+        sets = {v: set(h[v]) for v in h}
+        assert independence_complex(sets) == independence_complex(h)
+
 
 class TestMatchedRegionGraph:
     def test_ladder_3_all_vertical_gives_path(self):
@@ -44,14 +52,14 @@ class TestMatchedRegionGraph:
         vertical = [v for v in k.vertices()
                     if all(u + 1 == w for u, w in v.matching)][0]
         h = matched_region_graph(k, vertical)
-        assert sorted(h.nodes) == [0, 1, 2]
-        assert nx.is_isomorphic(h, nx.path_graph(3))
+        assert sorted(h) == [0, 1, 2]
+        assert nx.is_isomorphic(nx.Graph(h), nx.path_graph(3))
 
     def test_c4_single_node(self):
         k = build_complex(c4())
         for v in k.vertices():
             h = matched_region_graph(k, v)
-            assert list(h.nodes) == [0] and not h.edges
+            assert list(h) == [0] and not h[0]
 
     def test_prism_central_vertex_triangle(self):
         # The matching using all three connecting edges makes every
@@ -59,13 +67,12 @@ class TestMatchedRegionGraph:
         # matched-region graph is a triangle and its independence complex is
         # three isolated points.
         k = build_complex(triangular_prism())
-        sizes = sorted(matched_region_graph(k, v).number_of_nodes()
-                       for v in k.vertices())
+        sizes = sorted(len(matched_region_graph(k, v)) for v in k.vertices())
         assert sizes == [1, 1, 1, 3]
         central = [v for v in k.vertices()
-                   if matched_region_graph(k, v).number_of_nodes() == 3][0]
+                   if len(matched_region_graph(k, v)) == 3][0]
         h = matched_region_graph(k, central)
-        assert nx.is_isomorphic(h, nx.complete_graph(3))
+        assert nx.is_isomorphic(nx.Graph(h), nx.complete_graph(3))
 
     def test_face_must_belong(self):
         k1 = build_complex(c4())

@@ -1,7 +1,11 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilings.verify import (Bounds, Corpus, check_counterexample, check_cube,
-                            check_euler, check_kozlov, run_verification)
+from tilings.verify import (Bounds, Corpus, _bipartite, check_counterexample,
+                            check_cube, check_euler, check_kozlov,
+                            run_verification)
 
 SMALL = Bounds(max_ladder=3, max_cells=4, random_count=2)
 
@@ -51,3 +55,19 @@ def test_checks_report_case_counts():
     assert check_kozlov(corpus, SMALL).checked == 22
     assert check_counterexample(corpus, SMALL).checked == 1
     assert check_cube(corpus, SMALL).checked > 0
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    h = nx.empty_graph(n)
+    h.add_edges_from(edges)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+def test_two_colouring_matches_networkx(h):
+    assert _bipartite({v: set(h[v]) for v in h}) == nx.is_bipartite(h)
