@@ -70,14 +70,13 @@ class CubicalMatchingComplex:
         return [f for f in self.faces if f.dim == 0]
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The 2*dim faces covered by f: both alternating flips of each
-        region of f back into the matching."""
-        out = []
-        for r in sorted(f.cycles):
-            for alt in region_alternations(self.graph, r):
-                out.append(TilingFace(Matching(f.matching.edges | alt),
-                                      f.cycles - {r}))
-        return out
+        """The 2*dim faces covered by f: every region of f released."""
+        return [sub for r in sorted(f.cycles) for sub in self._release(f, r)]
+
+    def _release(self, f: TilingFace, r: int) -> list[TilingFace]:
+        """The two facets of f that flip region r back into the matching."""
+        return [TilingFace(Matching(f.matching.edges | alt), f.cycles - {r})
+                for alt in region_alternations(self.graph, r)]
 
     def f_vector(self) -> list[int]:
         if not self.faces:
@@ -104,11 +103,13 @@ class CubicalMatchingComplex:
         def union(i: int, j: int) -> None:
             parent[find(i)] = find(j)
 
+        # Releasing one region joins each face to two faces a dimension
+        # down, so every face reaches a vertex, and each edge joins its two
+        # vertices: that is all the connectivity of the complex.
         for i, f in enumerate(self.faces):
-            if f.dim == 0:
-                continue
-            for sub in self.facets_of(f):
-                union(i, self._index[sub])
+            if f.cycles:
+                for sub in self._release(f, min(f.cycles)):
+                    union(i, self._index[sub])
         groups: dict[int, list[TilingFace]] = {}
         for i, f in enumerate(self.faces):
             groups.setdefault(find(i), []).append(f)

@@ -144,16 +144,7 @@ def f_polynomial(n: int, bump: Optional[int] = None) -> Poly:
 
 def p_polynomial(n: int, bump: Optional[int] = None) -> Poly:
     """Shifted f-polynomial p(x) = f(x-1)."""
-    p = f_polynomial(n, bump).substitute_x_minus_1()
-    if __debug__:
-        if bump is None and n >= 2:
-            assert p == (p_raw(n - 1) + p_raw(n - 2).shift(1)), n
-        if bump is not None and n >= bump + 2:
-            assert p == (p_raw(n - 1, bump) + p_raw(n - 2, bump).shift(1))
-        if bump is not None and bump >= 3 and n >= bump:
-            assert p == (p_raw(n - 1, bump - 1)
-                         + p_raw(n - 2, bump - 2).shift(1))
-    return p
+    return p_raw(n, bump)
 
 
 @lru_cache(maxsize=None)

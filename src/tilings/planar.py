@@ -168,11 +168,14 @@ class PlanarGraph:
                         raise GraphError(
                             f"edges {es[i]} and {es[j]} overlap in the drawing")
         # A vertex sitting in the interior of an unrelated edge also breaks
-        # the drawing.
+        # the drawing.  Only a vertex without edges can get here: one with
+        # an edge failed the pair loop above ("cross", or "overlap" if the
+        # two edges share an endpoint).
+        isolated = [(w, pw) for w, pw in self.coords.items() if not self.adj[w]]
         for u, v in es:
             pu, pv = self.coords[u], self.coords[v]
-            for w, pw in self.coords.items():
-                if w not in (u, v) and on_segment(pw, pu, pv):
+            for w, pw in isolated:
+                if on_segment(pw, pu, pv):
                     raise GraphError(f"vertex {w} lies on edge ({u},{v})")
 
     def _rotation(self, v: int) -> list[int]:

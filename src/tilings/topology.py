@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import random
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Collection, Mapping, Optional, Union
 
 from .complexes import (CubicalMatchingComplex, TilingFace, face_leq,
                         region_alternations)
-from .matchings import Matching
 from .planar import GraphError, weak_dual
 
 
@@ -89,30 +89,17 @@ def matched_region_graph(k: CubicalMatchingComplex,
 
 def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
                  check_model: bool = True) -> SimplicialComplex:
-    """Link of a face, computed from co-faces of one dimension up.
+    """Link of a face, read from the faces above it: each co-face c
+    contributes the regions it adds, c.cycles - f.cycles.
 
     The result is certified against the independence complex of the matched
     region graph; a mismatch is an invariant violation and raises.
     """
     if f not in k:
         raise GraphError("face does not belong to the complex")
-    cofaces = [c for c in k.faces
-               if c.dim == f.dim + 1 and face_leq(f, c, k.graph)]
-    # Each co-face adds exactly one region on top of f's cycle set.
-    label = {c: next(iter(c.cycles - f.cycles)) for c in cofaces}
-    faces = []
-    for subset in _subsets(cofaces):
-        if not subset:
-            continue
-        regions = f.cycles | {label[c] for c in subset}
-        drop = frozenset(e for c in subset
-                         for e in f.matching.edges - c.matching.edges)
-        candidate = TilingFace(Matching(f.matching.edges - drop), regions)
-        if candidate in k:
-            faces.append(frozenset(label[c] for c in subset))
-    link = SimplicialComplex(frozenset(label[c] for c in cofaces),
-                             SimplicialComplex.from_faces(faces).facets
-                             if faces else frozenset())
+    link = SimplicialComplex.from_faces(
+        c.cycles - f.cycles for c in k.faces
+        if f.cycles < c.cycles and face_leq(f, c, k.graph))
     if check_model:
         model = independence_complex(matched_region_graph(k, f))
         if link.vertices != model.vertices or link.facets != model.facets:
@@ -121,67 +108,51 @@ def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
     return link
 
 
-def _subsets(items):
-    n = len(items)
-    for mask in range(1 << n):
-        yield [items[i] for i in range(n) if mask >> i & 1]
-
-
 # -- Z/2 homology -----------------------------------------------------------------
 
 
 def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> pivot row
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            pivot = pivots.get(row.bit_length())
+            if pivot is None:
+                pivots[row.bit_length()] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def _cells_and_boundaries(
         c: Union[SimplicialComplex, CubicalMatchingComplex]
-) -> tuple[list, dict, dict]:
-    """Uniform cell-poset view: (cells, dim map, codim-1 boundary map)."""
+) -> tuple[list, list[int], list[list[int]]]:
+    """The face poset of a complex: its cells in order of dimension, their
+    dimensions, and the facets of each cell as indices into the cells."""
     if isinstance(c, SimplicialComplex):
         cells = c.all_faces()
-        dim = {f: len(f) - 1 for f in cells}
-        bnd = {f: [f - {v} for v in f if len(f) > 1] for f in cells}
-        return cells, dim, bnd
+        index = {f: i for i, f in enumerate(cells)}
+        facets = [[index[f - {v}] for v in f if len(f) > 1] for f in cells]
+        return cells, [len(f) - 1 for f in cells], facets
     cells = list(c.faces)
-    dim = {f: f.dim for f in cells}
-    bnd = {f: c.facets_of(f) for f in cells}
-    return cells, dim, bnd
+    facets = [[c._index[sub] for sub in c.facets_of(f)] for f in cells]
+    return cells, [f.dim for f in cells], facets
 
 
 def z2_betti(c: Union[SimplicialComplex, CubicalMatchingComplex]
              ) -> tuple[int, ...]:
     """Unreduced Z/2 Betti numbers via boundary-matrix ranks."""
-    cells, dim, bnd = _cells_and_boundaries(c)
+    cells, dims, facets = _cells_and_boundaries(c)
     if not cells:
         return ()
-    top = max(dim.values())
-    by_dim: dict[int, list] = {d: [] for d in range(top + 1)}
-    for f in cells:
-        by_dim[dim[f]].append(f)
-    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
-    ranks = {}
+    top = dims[-1]
+    # Cells of dimension d are cells[start[d]:start[d + 1]].
+    start = [bisect_left(dims, d) for d in range(top + 2)]
+    ranks = [0] * (top + 2)
     for d in range(1, top + 1):
-        rows = []
-        for f in by_dim[d]:
-            mask = 0
-            for sub in bnd[f]:
-                mask ^= 1 << index[d - 1][sub]
-            rows.append(mask)
-        ranks[d] = _gf2_rank(rows)
-    betti = []
-    for d in range(top + 1):
-        b = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        betti.append(b)
+        ranks[d] = _gf2_rank([sum(1 << j for j in facets[i]) >> start[d - 1]
+                              for i in range(start[d], start[d + 1])])
+    betti = [start[d + 1] - start[d] - ranks[d] - ranks[d + 1]
+             for d in range(top + 1)]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
@@ -189,13 +160,13 @@ def z2_betti(c: Union[SimplicialComplex, CubicalMatchingComplex]
 
 def boundary_of_boundary_vanishes(
         c: Union[SimplicialComplex, CubicalMatchingComplex]) -> bool:
-    cells, dim, bnd = _cells_and_boundaries(c)
-    for f in cells:
-        acc: dict = {}
-        for sub in bnd[f]:
-            for sub2 in bnd.get(sub, []):
-                acc[sub2] = acc.get(sub2, 0) ^ 1
-        if any(acc.values()):
+    _, _, facets = _cells_and_boundaries(c)
+    for fs in facets:
+        acc = 0
+        for j in fs:
+            for i in facets[j]:
+                acc ^= 1 << i
+        if acc:
             return False
     return True
 
@@ -225,17 +196,32 @@ def _cell_label(f) -> str:
     return (f"(M={f.matching.sorted_edges()}, C={sorted(f.cycles)})")
 
 
+def _covers(facets: list[list[int]]) -> list[list[int]]:
+    """The cells one dimension up from each cell, as indices."""
+    covers: list[list[int]] = [[] for _ in facets]
+    for i, fs in enumerate(facets):
+        for j in fs:
+            covers[j].append(i)
+    return covers
+
+
 def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
                     budget: int = 20000,
                     seed: int = 0) -> CollapseVerdict:
     """Search for a full sequence of elementary collapses down to a point.
 
     Greedy lowest-dimension-first with seeded randomized restarts, plus
-    exhaustive backtracking for complexes with at most 64 cells.  Obstructions
-    (disconnected, nonzero reduced Z/2 homology, Euler != 1) short-circuit to
-    a negative verdict.
+    exhaustive backtracking over at most ``budget`` states for complexes
+    with at most 64 cells.  Obstructions (disconnected, nonzero reduced Z/2
+    homology, Euler != 1) short-circuit to a negative verdict.
+
+    The live cells always form a subcomplex, so a live cell is free (has
+    exactly one live proper coface) iff it has exactly one live cover: a
+    live cell two dimensions up would contain two live covers, since every
+    interval of length two in a cubical or simplicial complex has two
+    middle cells.
     """
-    cells, dim, bnd = _cells_and_boundaries(c)
+    cells, dims, facets = _cells_and_boundaries(c)
     if not cells:
         return CollapseVerdict("not_collapsible", reason="empty complex")
     betti = z2_betti(c)
@@ -244,99 +230,85 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
     if betti != (1,):
         return CollapseVerdict("not_collapsible",
                                reason=f"nonzero reduced Z/2 homology {betti}")
-    euler = sum((-1) ** dim[f] for f in cells)
+    euler = sum((-1) ** d for d in dims)
     if euler != 1:
         return CollapseVerdict("not_collapsible", reason=f"Euler {euler} != 1")
-    if len(cells) == 1:
-        return CollapseVerdict("collapsible", certificate=[], seed=seed)
-
-    order = {f: i for i, f in enumerate(cells)}
-    # Full proper-coface lists via upward closure of the cover relation.
-    covers_up: dict = {f: set() for f in cells}
-    for f in cells:
-        for sub in bnd[f]:
-            covers_up[sub].add(f)
-    cofaces: dict = {}
-    for f in sorted(cells, key=lambda f: -dim[f]):
-        acc = set(covers_up[f])
-        for g in covers_up[f]:
-            acc |= cofaces[g]
-        cofaces[f] = acc
-    subfaces: dict = {f: set() for f in cells}
-    for f, ups in cofaces.items():
-        for g in ups:
-            subfaces[g].add(f)
+    covers = _covers(facets)
 
     def greedy(rng: Optional[random.Random]) -> Optional[list[tuple]]:
-        alive = set(cells)
-        up_alive = {f: set(cofaces[f]) for f in cells}
+        live = [True] * len(cells)
+        count = [len(ups) for ups in covers]  # live covers of each cell
+        free = {i for i, n in enumerate(count) if n == 1}
         cert = []
-        while len(alive) > 1:
-            free = [f for f in alive if len(up_alive[f]) == 1]
+        for _ in range(len(cells) // 2):
             if not free:
                 return None
-            if rng is None:
-                sigma = min(free, key=lambda f: (dim[f], order[f]))
-            else:
-                sigma = rng.choice(free)
-            tau = next(iter(up_alive[sigma]))
+            sigma = min(free) if rng is None else rng.choice(sorted(free))
+            tau = next(j for j in covers[sigma] if live[j])
+            cert.append((cells[sigma], cells[tau]))
+            # sigma leaves the free set as a facet of tau.
             for gone in (sigma, tau):
-                alive.discard(gone)
-                for sub in subfaces[gone]:
-                    up_alive[sub].discard(gone)
-            cert.append((sigma, tau))
-        last = next(iter(alive))
-        return cert if dim[last] == 0 else None
+                live[gone] = False
+                for j in facets[gone]:
+                    count[j] -= 1
+                    if count[j] == 1:
+                        free.add(j)
+                    else:
+                        free.discard(j)
+        return cert
 
-    steps_budget = budget
-    cert = greedy(None)
-    if cert is not None:
-        return CollapseVerdict("collapsible", certificate=cert, seed=seed)
-    steps_budget -= len(cells) // 2
-    attempt = 0
-    while steps_budget > 0:
-        rng = random.Random((seed, attempt))
+    # The greedy pass, then seeded restarts while the budget lasts; each
+    # attempt spends len(cells) // 2 steps of it.
+    rng = None
+    for attempt in range(1 + max(0, budget - 1) // max(1, len(cells) // 2)):
         cert = greedy(rng)
         if cert is not None:
             return CollapseVerdict("collapsible", certificate=cert, seed=seed)
-        steps_budget -= len(cells) // 2
-        attempt += 1
+        rng = random.Random(f"{seed}/{attempt}")
 
     if len(cells) <= 64:
-        cert = _exhaustive_collapse(cells, dim, cofaces, subfaces)
+        cert, complete = _exhaustive_collapse(cells, facets, budget)
         if cert is not None:
             return CollapseVerdict("collapsible", certificate=cert, seed=seed)
-        return CollapseVerdict("not_collapsible",
-                               reason="exhaustive search found no collapse")
+        if complete:
+            return CollapseVerdict("not_collapsible",
+                                   reason="exhaustive search found no collapse")
     return CollapseVerdict("inconclusive",
                            reason="budget exhausted", seed=seed)
 
 
-def _exhaustive_collapse(cells, dim, cofaces, subfaces):
-    idx = {f: i for i, f in enumerate(cells)}
-    full = (1 << len(cells)) - 1
+def _exhaustive_collapse(cells: list, facets: list[list[int]], budget: int
+                         ) -> tuple[Optional[list[tuple]], bool]:
+    """Depth-first search over the sets of live cells (as bit masks), each
+    visited at most once and at most ``budget`` of them.  Returns a
+    certificate or None, and whether the search was complete."""
+    covers = _covers(facets)
     seen: set[int] = set()
+    complete = True
 
-    def rec(alive_mask: int, alive: set) -> Optional[list[tuple]]:
-        if alive_mask in seen:
+    def rec(alive: int) -> Optional[list[tuple]]:
+        nonlocal complete
+        if alive & (alive - 1) == 0:
+            return []  # one live cell left: a vertex, as live cells are closed
+        if alive in seen:
             return None
-        if len(alive) == 1:
-            last = next(iter(alive))
-            return [] if dim[last] == 0 else None
-        seen.add(alive_mask)
-        for sigma in sorted(alive, key=lambda f: idx[f]):
-            ups = [g for g in cofaces[sigma] if g in alive]
+        if len(seen) >= budget:
+            complete = False
+            return None
+        seen.add(alive)
+        for sigma in range(len(cells)):
+            if not alive >> sigma & 1:
+                continue
+            ups = [j for j in covers[sigma] if alive >> j & 1]
             if len(ups) != 1:
                 continue
-            tau = ups[0]
-            alive2 = alive - {sigma, tau}
-            mask2 = alive_mask & ~(1 << idx[sigma]) & ~(1 << idx[tau])
-            rest = rec(mask2, alive2)
+            rest = rec(alive & ~(1 << sigma) & ~(1 << ups[0]))
             if rest is not None:
-                return [(sigma, tau)] + rest
+                return [(cells[sigma], cells[ups[0]])] + rest
         return None
 
-    return rec(full, set(cells))
+    cert = rec((1 << len(cells)) - 1)
+    return cert, complete
 
 
 def kozlov_reference_betti(family: str, n: int) -> tuple[int, ...]:

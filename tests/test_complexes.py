@@ -242,3 +242,43 @@ def test_build_complex_matches_brute_force_on_polyominoes(cells):
                                    figure_counterexample, triangular_prism])
 def test_build_complex_matches_brute_force_on_figures(build):
     assert_matches_brute_force(build())
+
+
+# -- components against a union over every facet -----------------------------
+
+
+def components_by_all_facets(k):
+    """Faces joined to every one of their facets, as sets of faces."""
+    parent = {f: f for f in k.faces}
+
+    def find(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    for f in k.faces:
+        for sub in k.facets_of(f):
+            parent[find(f)] = find(sub)
+    groups = {}
+    for f in k.faces:
+        groups.setdefault(find(f), set()).add(f)
+    return {frozenset(fs) for fs in groups.values()}
+
+
+def assert_components_match(g):
+    k = build_complex(g)
+    comps = k.connected_components()
+    assert {frozenset(c.faces) for c in comps} == components_by_all_facets(k)
+    assert len(comps) == len(components_by_all_facets(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grown_polyominoes(), punched_boxes()).filter(
+    lambda cells: len(cells) % 2 == 0 and cells_connected(set(cells))))
+def test_components_match_union_over_all_facets(cells):
+    # Polyominoes with holes are kept: a hole can be an even region too.
+    assert_components_match(graph_from_cells(set(cells)))
+
+
+def test_components_match_union_over_all_facets_on_counterexample():
+    assert_components_match(figure_counterexample())

@@ -119,6 +119,26 @@ class TestPPolynomials:
             rhs = p_polynomial(2 * d - 1) + p_polynomial(2 * d - 3).shift(1)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_plain_recurrence(self, n):
+        # P_n = P_{n-1} + x P_{n-2}
+        assert p_polynomial(n) == p_raw(n - 1) + p_raw(n - 2).shift(1)
+
+    @pytest.mark.parametrize("bump", range(1, 9))
+    def test_bumped_recurrence_same_bump(self, bump):
+        # P_{n,b} = P_{n-1,b} + x P_{n-2,b} while the bump fits both
+        for n in range(bump + 2, 15):
+            assert p_polynomial(n, bump) == (
+                p_raw(n - 1, bump) + p_raw(n - 2, bump).shift(1))
+
+    @pytest.mark.parametrize("bump", range(3, 9))
+    def test_bumped_recurrence_shifted_bump(self, bump):
+        # P_{n,b} = P_{n-1,b-1} + x P_{n-2,b-2}: the recurrence at the left
+        # end, which moves the bump
+        for n in range(bump, 15):
+            assert p_polynomial(n, bump) == (
+                p_raw(n - 1, bump - 1) + p_raw(n - 2, bump - 2).shift(1))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cube_distance_interpretation(self, n):
         g = build_ladder(n)

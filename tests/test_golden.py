@@ -1,9 +1,10 @@
-"""Byte-identical CLI output on the core fixtures.
+"""Byte-identical CLI output on the core fixtures and a few rectangles.
 
-The table holds the SHA-256 of
+The tables hold the SHA-256 of
 ``tilings complex NAME --betti --collapse --cube --format json`` for each
-core fixture.  A refactor that changes any byte of that output fails here;
-the table changes only with an intended change of output.
+core fixture and for polyomino files of rectangles larger than any of them.
+A refactor that changes any byte of that output fails here; the tables
+change only with an intended change of output.
 """
 
 import hashlib
@@ -114,6 +115,19 @@ DIGESTS = {
         "fe892d9af5d4c8c7452d06cf584ecd6a067d239c4521b53fb951c534e1092584",
 }
 
+# Rows x columns of cells; the 4 x 5 rectangle has f-vector
+# [95, 226, 193, 70, 9].
+RECTANGLE_DIGESTS = {
+    (3, 4):
+        "5c03a34ad7901b8f174c25b440600379d3adbf38eb27866943b8c19c555ead5d",
+    (3, 6):
+        "d21da4692a3007feb0997a4436c4d0e78d79b070e72f35ccfe1049489751e54b",
+    (4, 4):
+        "394a8b46ed578672d9df81b933785f15e53123ab5e7fe4b30d0309044f425925",
+    (4, 5):
+        "9ccb283ae962e3a5e73e0eef51ad79283b72fd9c6dd51bfa376a602cd58752a6",
+}
+
 
 def test_table_covers_the_core_fixtures():
     assert sorted(DIGESTS) == sorted(core_fixture_names())
@@ -126,3 +140,15 @@ def test_complex_output_digest(capsys, name):
     out, _ = capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("rows,cols", sorted(RECTANGLE_DIGESTS))
+def test_rectangle_output_digest(capsys, tmp_path, rows, cols):
+    path = tmp_path / f"rect-{rows}x{cols}.txt"
+    path.write_text("\n".join("#" * cols for _ in range(rows)) + "\n")
+    code = main(["complex", str(path), "--betti", "--collapse", "--cube",
+                 "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == RECTANGLE_DIGESTS[rows, cols])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilings.geometry import (on_segment, segments_cross_improperly,
+                              segments_intersect)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               figure_g3, polyomino_zoo, triangular_prism)
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
@@ -279,3 +281,60 @@ def test_subgraph_matches_rebuild(case):
     assert sub.edges == rebuilt.edges
     assert sub.adj == rebuilt.adj
     assert [r.cycle for r in sub.regions] == regions
+
+
+# -- the drawing check against a scan of every vertex -------------------------
+
+
+class FullScanGraph(PlanarGraph):
+    """The drawing check with the vertex-on-edge scan over every vertex,
+    not only those without edges."""
+
+    def _check_noncrossing(self) -> None:
+        es = sorted(self.edges)
+        for i in range(len(es)):
+            a, b = es[i]
+            pa, pb = self.coords[a], self.coords[b]
+            for j in range(i + 1, len(es)):
+                c, d = es[j]
+                shared = {a, b} & {c, d}
+                pc, pd = self.coords[c], self.coords[d]
+                if not shared:
+                    if segments_intersect(pa, pb, pc, pd):
+                        raise GraphError(
+                            f"edges {es[i]} and {es[j]} cross in the drawing")
+                elif len(shared) == 1:
+                    s = self.coords[shared.pop()]
+                    if segments_cross_improperly(pa, pb, pc, pd, s):
+                        raise GraphError(
+                            f"edges {es[i]} and {es[j]} overlap in the drawing")
+        for u, v in es:
+            pu, pv = self.coords[u], self.coords[v]
+            for w, pw in self.coords.items():
+                if w not in (u, v) and on_segment(pw, pu, pv):
+                    raise GraphError(f"vertex {w} lies on edge ({u},{v})")
+
+
+@st.composite
+def drawings(draw):
+    """Up to 6 vertices on a 4 x 4 grid and up to 7 edges between them."""
+    points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=2, max_size=6, unique=True))
+    ends = st.integers(0, len(points) - 1)
+    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+                          max_size=7))
+    return dict(enumerate(points)), edges
+
+
+def outcome(cls, vertices, edges):
+    try:
+        cls(vertices, edges)
+    except GraphError as e:
+        return str(e)
+    return "ok"
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawings())
+def test_drawing_check_matches_full_scan(drawing):
+    assert outcome(PlanarGraph, *drawing) == outcome(FullScanGraph, *drawing)

@@ -1,13 +1,17 @@
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilings.complexes import build_complex
+from tilings.complexes import build_complex, face_leq
 from tilings.fixtures import figure_counterexample, triangular_prism
-from tilings.planar import GraphError, PlanarGraph, build_ladder
-from tilings.topology import (SimplicialComplex, boundary_of_boundary_vanishes,
-                              collapse_search, independence_complex,
-                              kozlov_reference_betti, link_of_face,
-                              matched_region_graph, z2_betti)
+from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
+                            build_ladder)
+from tilings.topology import (SimplicialComplex, _cells_and_boundaries,
+                              _exhaustive_collapse, _gf2_rank,
+                              boundary_of_boundary_vanishes, collapse_search,
+                              independence_complex, kozlov_reference_betti,
+                              link_of_face, matched_region_graph, z2_betti)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -180,6 +184,111 @@ class TestCollapse:
         data = verdict.serialize()
         assert data["status"] == "collapsible"
         assert len(data["certificate"]) >= 1
+
+
+# -- collapse certificates replayed against the face order -------------------
+
+# A 9-gon with boundary a.a.a^-1, triangulated on 8 vertices: contractible,
+# yet no edge or vertex has exactly one coface, so nothing collapses.
+DUNCE_HAT = [(0, 1, 5), (0, 1, 6), (0, 1, 7), (0, 2, 3), (0, 2, 4), (0, 2, 5),
+             (0, 3, 4), (0, 6, 7), (1, 2, 3), (1, 2, 4), (1, 2, 7), (1, 3, 5),
+             (1, 4, 6), (2, 5, 6), (2, 6, 7), (3, 4, 5), (4, 5, 6)]
+
+
+def cubical(k):
+    """Cells, proper face relation and dimension of a cubical complex."""
+    return (list(k.faces), lambda a, b: a != b and face_leq(a, b, k.graph),
+            lambda f: f.dim)
+
+
+def simplicial(sc):
+    return sc.all_faces(), lambda a, b: a < b, lambda f: len(f) - 1
+
+
+def replay(certificate, cells, below, dim):
+    """Each step removes a cell and its only live proper coface; the
+    collapse ends at one vertex."""
+    live = set(cells)
+    for sigma, tau in certificate:
+        assert sigma in live
+        assert [c for c in live if below(sigma, c)] == [tau]
+        live -= {sigma, tau}
+    assert len(live) == 1 and dim(next(iter(live))) == 0
+
+
+def rectangle(rows, cols):
+    return build_from_polyomino("\n".join("#" * cols for _ in range(rows)))
+
+
+class TestCollapseCertificates:
+    @pytest.mark.parametrize("n,bump", [(n, b) for n in range(1, 7)
+                                        for b in [None, *range(1, n + 1)]])
+    def test_ladders(self, n, bump):
+        k = build_complex(build_ladder(n, bump))
+        verdict = collapse_search(k)
+        assert verdict.status == "collapsible"
+        replay(verdict.certificate, *cubical(k))
+
+    def test_rectangle_4x4(self):
+        k = build_complex(rectangle(4, 4))
+        verdict = collapse_search(k)
+        assert verdict.status == "collapsible"
+        replay(verdict.certificate, *cubical(k))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_independence_complex_of_paths(self, n):
+        # Ind(P_n) is contractible exactly when n = 1 mod 3, and a sphere
+        # otherwise.
+        sc = independence_complex(nx.path_graph(n))
+        verdict = collapse_search(sc)
+        if n % 3 != 1:
+            assert verdict.status == "not_collapsible"
+            return
+        assert verdict.status == "collapsible"
+        replay(verdict.certificate, *simplicial(sc))
+
+    def test_exhaustive_search_on_ladder_2(self):
+        k = build_complex(build_ladder(2))
+        cells, _, facets = _cells_and_boundaries(k)
+        certificate, complete = _exhaustive_collapse(cells, facets, 20000)
+        assert complete
+        replay(certificate, *cubical(k))
+
+    def test_dunce_hat_reaches_a_verdict(self):
+        sc = SimplicialComplex.from_faces(DUNCE_HAT)
+        cells, below, dim = simplicial(sc)
+        assert len(cells) == 49
+        assert z2_betti(sc) == (1,)
+        assert sum((-1) ** dim(f) for f in cells) == 1
+        assert not any(sum(below(f, c) for c in cells) == 1 for f in cells)
+        verdict = collapse_search(sc)
+        assert (verdict.status, verdict.reason) == (
+            "not_collapsible", "exhaustive search found no collapse")
+        verdict = collapse_search(sc, budget=0)
+        assert (verdict.status, verdict.reason) == (
+            "inconclusive", "budget exhausted")
+
+
+def gf2_rank_by_elimination(rows, width):
+    """Row reduction of the 0/1 matrix whose rows are the bits of ``rows``."""
+    m = [[row >> j & 1 for j in range(width)] for row in rows]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 10) - 1), max_size=14))
+def test_gf2_rank_matches_elimination(rows):
+    assert _gf2_rank(rows) == gf2_rank_by_elimination(rows, 10)
 
 
 class TestKozlovTable:
