@@ -68,7 +68,7 @@ def cmd_complex(args) -> int:
     g = resolve_graph(args.input)
     k = build_complex(g)
     payload: dict = {
-        "graph": {"vertices": len(g.coords), "edges": len(g.edges),
+        "graph": {"vertices": len(g.lattice), "edges": len(g.edges),
                   "regions": len(g.regions)},
         "f_vector": k.f_vector(),
         "euler_characteristic": k.euler_characteristic(),

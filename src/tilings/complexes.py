@@ -159,10 +159,16 @@ def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:
         raise GraphError(f"edge {e} borders the outer region on both sides")
     if len(containing) > 1:
         raise GraphError(f"edge {e} does not lie on the outer region")
-    r = containing[0]
-    parity = g.regions[r].parity
-
     f_g = build_complex(g).f_vector()
+    return _edge_decomposition(g, e, containing[0], f_g)
+
+
+def _edge_decomposition(g: PlanarGraph, e: Edge, r: int,
+                        f_g: list[int]) -> dict:
+    """The report of :func:`verify_edge_decomposition` for an edge e of g
+    on the outer region that lies in region r only, given the f-vector of
+    C(G), so a caller checking many edges of one graph builds it once."""
+    parity = g.regions[r].parity
     f_xy = build_complex(g.subgraph(remove_vertices=e)).f_vector()
     f_e = build_complex(g.subgraph(remove_edges=[e])).f_vector()
     terms = {"without_endpoints": f_xy, "without_edge": f_e}

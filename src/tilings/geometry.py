@@ -1,19 +1,32 @@
-"""Exact rational predicates for straight-line plane drawings.
+"""Exact predicates for straight-line plane drawings.
 
-All coordinates are ``fractions.Fraction``; every predicate reduces to the
-sign of a rational expression, so there is no epsilon anywhere.
+Coordinates are integers or ``fractions.Fraction``; every predicate reduces
+to the sign of an integer or rational expression, so there is no float and
+no epsilon anywhere.  A ``PlanarGraph`` scales its rational coordinates once
+to an integer lattice, so the predicates it calls run on ints; the points
+built here (centroids, interior points) are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int | Fraction, int | Fraction]
 
 
 def as_point(x, y) -> Point:
     return (Fraction(x), Fraction(y))
+
+
+def common_lattice(points: Sequence[Point]
+                   ) -> tuple[int, list[tuple[int, int]]]:
+    """The least common multiple k of the points' denominators, and the
+    points multiplied by k: the same drawing on integer coordinates."""
+    k = lcm(*{c.denominator for p in points for c in p})
+    return k, [(x.numerator * (k // x.denominator),
+                y.numerator * (k // y.denominator)) for x, y in points]
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
@@ -57,9 +70,9 @@ def segments_cross_improperly(a: Point, b: Point, c: Point, d: Point,
     return dx1 * dx2 + dy1 * dy2 > 0
 
 
-def signed_area2(poly: Sequence[Point]) -> Fraction:
+def signed_area2(poly: Sequence[Point]) -> int | Fraction:
     """Twice the signed area of a closed polygon (ccw positive)."""
-    total = Fraction(0)
+    total = 0
     n = len(poly)
     for i in range(n):
         x1, y1 = poly[i]
@@ -92,11 +105,10 @@ def point_in_polygon(p: Point, poly: Sequence[Point]) -> int:
 
 
 def vertex_centroid(poly: Sequence[Point]) -> Point:
-    """Average of the polygon's vertices (exact)."""
+    """Average of the polygon's vertices, as Fractions."""
     n = len(poly)
-    sx = sum((q[0] for q in poly), Fraction(0))
-    sy = sum((q[1] for q in poly), Fraction(0))
-    return (sx / n, sy / n)
+    return (Fraction(sum(q[0] for q in poly), n),
+            Fraction(sum(q[1] for q in poly), n))
 
 
 def interior_point(poly: Sequence[Point]) -> Point:
@@ -116,13 +128,12 @@ def interior_point(poly: Sequence[Point]) -> Point:
         if o == 0 or (o > 0) != ccw:
             continue
         # Shrink towards b until the candidate is inside.
-        t = Fraction(1, 2)
-        for _ in range(64):
-            cand = (b[0] + t * ((a[0] + cv[0]) / 2 - b[0]),
-                    b[1] + t * ((a[1] + cv[1]) / 2 - b[1]))
+        mid = (Fraction(a[0] + cv[0], 2), Fraction(a[1] + cv[1], 2))
+        for k in range(1, 65):
+            t = Fraction(1, 2 ** k)
+            cand = (b[0] + t * (mid[0] - b[0]), b[1] + t * (mid[1] - b[1]))
             if point_in_polygon(cand, poly) == 1:
                 return cand
-            t /= 2
     raise ValueError("degenerate polygon: no interior point found")
 
 

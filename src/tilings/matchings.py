@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .geometry import point_in_polygon
+from .geometry import common_lattice, interior_point, point_in_polygon
 from .planar import Edge, GraphError, PlanarGraph
 
 
@@ -151,14 +151,20 @@ def cube_coordinates(g: PlanarGraph,
         region_order = list(range(d))
     if sorted(region_order) != list(range(d)):
         raise GraphError("region_order must list every region exactly once")
-    pts = [g.region_interior_point(r) for r in region_order]
+    lattice = g.lattice
+    inner = [interior_point([lattice[v] for v in g.regions[r].cycle])
+             for r in region_order]
+    # The interior points are Fractions of a lattice unit: scale them and
+    # the lattice by their common denominator, so every test runs on ints.
+    k, pts = common_lattice(inner)
+    pos = {v: (x * k, y * k) for v, (x, y) in lattice.items()}
 
     coords = {}
     for m in enumerate_perfect_matchings(g):
         dec = symmetric_difference_cycles(m, base)
         x = [0] * d
         for cycle in dec.cycles:
-            poly = [g.coords[v] for v in cycle]
+            poly = [pos[v] for v in cycle]
             for i, p in enumerate(pts):
                 if point_in_polygon(p, poly) == 1:
                     x[i] ^= 1

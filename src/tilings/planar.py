@@ -14,11 +14,12 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .geometry import (Point, angle_less, as_point, interior_point,
+from .geometry import (Point, angle_less, as_point, common_lattice,
                        on_segment, point_in_polygon, segments_cross_improperly,
                        segments_intersect, signed_area2)
 
 Edge = tuple[int, int]
+LatticePoint = tuple[int, int]
 
 
 class GraphError(ValueError):
@@ -85,6 +86,12 @@ class PlanarGraph:
     these are all bounded faces of the drawing that are simple cycles and do
     not enclose vertices of other components; an explicit subset can be
     supplied instead.
+
+    Positions are stored once, on an integer lattice: vertex v sits at
+    ``lattice[v] / scale``, where ``scale`` is the least common multiple of
+    the coordinates' denominators (a subgraph keeps its parent's scale).
+    Every geometric test runs on these ints; ``coords`` gives the rational
+    positions back.
     """
 
     def __init__(self,
@@ -92,13 +99,14 @@ class PlanarGraph:
                  edges: Iterable[Sequence[int]],
                  regions: Optional[Iterable[Sequence[int]]] = None,
                  check_crossings: bool = True):
-        self.coords: dict[int, Point] = {
-            int(v): as_point(x, y) for v, (x, y) in vertices.items()
-        }
+        points = {int(v): as_point(x, y) for v, (x, y) in vertices.items()}
+        self.scale, ints = common_lattice(list(points.values()))
+        self.lattice: dict[int, LatticePoint] = dict(zip(points, ints))
         seen_pts = {}
-        for v, p in self.coords.items():
+        for v, p in self.lattice.items():
             if p in seen_pts:
-                raise GraphError(f"vertices {seen_pts[p]} and {v} coincide at {p}")
+                raise GraphError(
+                    f"vertices {seen_pts[p]} and {v} coincide at {points[v]}")
             seen_pts[p] = v
 
         edge_set: set[Edge] = set()
@@ -108,12 +116,12 @@ class PlanarGraph:
             u, v = int(e[0]), int(e[1])
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if u not in self.coords or v not in self.coords:
+            if u not in self.lattice or v not in self.lattice:
                 raise GraphError(f"edge ({u},{v}) references unknown vertex")
             edge_set.add(edge_key(u, v))
         self.edges: frozenset[Edge] = frozenset(edge_set)
 
-        self.adj: dict[int, list[int]] = {v: [] for v in self.coords}
+        self.adj: dict[int, list[int]] = {v: [] for v in self.lattice}
         for u, v in sorted(self.edges):
             self.adj[u].append(v)
             self.adj[v].append(u)
@@ -150,39 +158,57 @@ class PlanarGraph:
     # -- construction helpers -------------------------------------------------
 
     def _check_noncrossing(self) -> None:
+        pos = self.lattice
         es = sorted(self.edges)
-        for i in range(len(es)):
+        # Sweep over bounding boxes sorted by least x: two segments can only
+        # meet if their boxes do, so each edge is paired with the edges whose
+        # box starts before its own ends in x and overlaps it in y.
+        boxes = []
+        for i, (u, v) in enumerate(es):
+            (x1, y1), (x2, y2) = pos[u], pos[v]
+            boxes.append((min(x1, x2), max(x1, x2),
+                          min(y1, y2), max(y1, y2), i))
+        boxes.sort()
+        pairs = []
+        for k, (_, xhi, ylo, yhi, i) in enumerate(boxes):
+            for m in range(k + 1, len(boxes)):
+                xlo2, _, ylo2, yhi2, j = boxes[m]
+                if xlo2 > xhi:
+                    break
+                if ylo2 <= yhi and yhi2 >= ylo:
+                    pairs.append((i, j) if i < j else (j, i))
+        # Test in the order of a scan over all pairs, so a bad drawing is
+        # reported by the same first pair.
+        pairs.sort()
+        for i, j in pairs:
             a, b = es[i]
-            pa, pb = self.coords[a], self.coords[b]
-            for j in range(i + 1, len(es)):
-                c, d = es[j]
-                shared = {a, b} & {c, d}
-                pc, pd = self.coords[c], self.coords[d]
-                if not shared:
-                    if segments_intersect(pa, pb, pc, pd):
-                        raise GraphError(
-                            f"edges {es[i]} and {es[j]} cross in the drawing")
-                elif len(shared) == 1:
-                    s = self.coords[shared.pop()]
-                    if segments_cross_improperly(pa, pb, pc, pd, s):
-                        raise GraphError(
-                            f"edges {es[i]} and {es[j]} overlap in the drawing")
+            c, d = es[j]
+            shared = {a, b} & {c, d}
+            pa, pb, pc, pd = pos[a], pos[b], pos[c], pos[d]
+            if not shared:
+                if segments_intersect(pa, pb, pc, pd):
+                    raise GraphError(
+                        f"edges {es[i]} and {es[j]} cross in the drawing")
+            elif segments_cross_improperly(pa, pb, pc, pd, pos[shared.pop()]):
+                raise GraphError(
+                    f"edges {es[i]} and {es[j]} overlap in the drawing")
         # A vertex sitting in the interior of an unrelated edge also breaks
         # the drawing.  Only a vertex without edges can get here: one with
         # an edge failed the pair loop above ("cross", or "overlap" if the
         # two edges share an endpoint).
-        isolated = [(w, pw) for w, pw in self.coords.items() if not self.adj[w]]
+        isolated = [(w, pw) for w, pw in pos.items() if not self.adj[w]]
         for u, v in es:
-            pu, pv = self.coords[u], self.coords[v]
+            pu, pv = pos[u], pos[v]
             for w, pw in isolated:
                 if on_segment(pw, pu, pv):
                     raise GraphError(f"vertex {w} lies on edge ({u},{v})")
 
     def _rotation(self, v: int) -> list[int]:
-        pv = self.coords[v]
+        pos = self.lattice
+        pv = pos[v]
 
         def cmp(a: int, b: int) -> int:
-            pa, pb = self.coords[a], self.coords[b]
+            pa, pb = pos[a], pos[b]
             da = (pa[0] - pv[0], pa[1] - pv[1])
             db = (pb[0] - pv[0], pb[1] - pv[1])
             if da == db:
@@ -193,7 +219,7 @@ class PlanarGraph:
 
     def _trace_faces(self) -> list[tuple[int, ...]]:
         """All face walks of the embedding, one per orbit of directed edges."""
-        rotation = {v: self._rotation(v) for v in self.coords}
+        rotation = {v: self._rotation(v) for v in self.lattice}
         index = {v: {u: i for i, u in enumerate(rot)}
                  for v, rot in rotation.items()}
         unused = {(u, v) for u, v in self.edges} | {(v, u) for u, v in self.edges}
@@ -219,7 +245,7 @@ class PlanarGraph:
         n_comp_faces: dict[int, int] = {}
         for u, v in self.edges:
             n_comp_edges[comp[u]] = n_comp_edges.get(comp[u], 0) + 1
-        for v in self.coords:
+        for v in self.lattice:
             n_comp_verts[comp[v]] = n_comp_verts.get(comp[v], 0) + 1
         for walk in faces:
             c = comp[walk[0]]
@@ -238,7 +264,7 @@ class PlanarGraph:
         for walk in faces:
             if len(set(walk)) != len(walk):
                 continue
-            poly = [self.coords[v] for v in walk]
+            poly = [self.lattice[v] for v in walk]
             if signed_area2(poly) <= 0:
                 continue
             # Drop a face that geometrically encloses another component:
@@ -246,7 +272,7 @@ class PlanarGraph:
             c = comp[walk[0]]
             enclosed = any(
                 point_in_polygon(p, poly) == 1
-                for w, p in self.coords.items() if comp[w] != c)
+                for w, p in self.lattice.items() if comp[w] != c)
             if enclosed:
                 continue
             regions.append(Region(walk))
@@ -255,12 +281,19 @@ class PlanarGraph:
     # -- queries ---------------------------------------------------------------
 
     @property
+    def coords(self) -> dict[int, Point]:
+        """Vertex positions as exact rationals, rebuilt from the lattice."""
+        s = self.scale
+        return {v: (Fraction(x, s), Fraction(y, s))
+                for v, (x, y) in self.lattice.items()}
+
+    @property
     def vertex_ids(self) -> list[int]:
-        return sorted(self.coords)
+        return sorted(self.lattice)
 
     def component_labels(self) -> dict[int, int]:
         label: dict[int, int] = {}
-        for v in sorted(self.coords):
+        for v in sorted(self.lattice):
             if v in label:
                 continue
             stack = [v]
@@ -272,12 +305,6 @@ class PlanarGraph:
                         label[w] = v
                         stack.append(w)
         return label
-
-    def region_polygon(self, r: int) -> list[Point]:
-        return [self.coords[v] for v in self.regions[r].cycle]
-
-    def region_interior_point(self, r: int) -> Point:
-        return interior_point(self.region_polygon(r))
 
     def subgraph(self,
                  remove_vertices: Iterable[int] = (),
@@ -292,7 +319,8 @@ class PlanarGraph:
         rv = set(remove_vertices)
         re = {edge_key(*e) for e in remove_edges}
         sub = object.__new__(PlanarGraph)
-        sub.coords = {v: p for v, p in self.coords.items() if v not in rv}
+        sub.scale = self.scale
+        sub.lattice = {v: p for v, p in self.lattice.items() if v not in rv}
         sub.edges = frozenset(e for e in self.edges if e not in re
                               and e[0] not in rv and e[1] not in rv)
         sub.adj = {v: [u for u in nbrs
@@ -314,7 +342,7 @@ class PlanarGraph:
         }
 
     def __repr__(self) -> str:
-        return (f"PlanarGraph(V={len(self.coords)}, E={len(self.edges)}, "
+        return (f"PlanarGraph(V={len(self.lattice)}, E={len(self.edges)}, "
                 f"regions={len(self.regions)})")
 
 

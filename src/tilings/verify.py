@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Optional
 
-from .complexes import (CubicalMatchingComplex, build_complex, face_leq,
-                        verify_edge_decomposition)
+from .complexes import (CubicalMatchingComplex, _edge_decomposition,
+                        build_complex, face_leq)
 from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
                       affine_rank, apply_A, bareiss_rank,
                       catalan_identity_check, fibonacci,
@@ -394,12 +394,14 @@ def check_decomposition(corpus: Corpus, bounds: Bounds) -> CheckResult:
                  "exactly, on every eligible edge of every fixture")
     checked = 0
     for name, g in corpus.graphs():
+        f_g = corpus.complex(name, g).f_vector()
         for e in sorted(g.edges):
-            containing = [r for r in g.regions if e in r.edge_set]
+            containing = [i for i, r in enumerate(g.regions)
+                          if e in r.edge_set]
             if len(containing) != 1:
                 continue
             checked += 1
-            report = verify_edge_decomposition(g, e)
+            report = _edge_decomposition(g, e, containing[0], f_g)
             if not report["ok"]:
                 return CheckResult("decomposition", statement, False, checked,
                                    {"fixture": name, "edge": list(e),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tilings.fixtures import named_fixture
 from tilings.geometry import (angle_less, as_point, interior_point,
                               on_segment, orientation, point_in_polygon,
                               segments_intersect, signed_area2,
@@ -59,6 +60,34 @@ def test_interior_point_convex_and_reflex():
     assert point_in_polygon(c, ell) != 1
     q = interior_point(ell)
     assert point_in_polygon(q, ell) == 1
+
+
+# The L-shaped hexagon on integer coordinates: its vertex centroid (4/3, 4/3)
+# is outside, so interior_point takes the ear fallback.
+INT_ELL = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)]
+
+
+def lattice_region_polygons():
+    polys = [("ell", INT_ELL)]
+    for name in ("g1", "g2", "g3", "ladder-3"):
+        g = named_fixture(name)
+        polys += [(name, [g.lattice[v] for v in r.cycle]) for r in g.regions]
+    return polys
+
+
+@pytest.mark.parametrize("name, poly", lattice_region_polygons())
+def test_points_on_integer_polygons_are_exact(name, poly):
+    assert all(type(c) is int for q in poly for c in q)
+    c = vertex_centroid(poly)
+    assert all(type(x) is F for x in c)
+    q = interior_point(poly)
+    assert all(type(x) is F for x in q)
+    assert point_in_polygon(q, poly) == 1
+    # Scaling the polygon scales the point: the lattice and the rational
+    # drawing give the same interior point.
+    k = 7
+    rational = [(F(x, k), F(y, k)) for x, y in poly]
+    assert interior_point(rational) == (q[0] / k, q[1] / k)
 
 
 def test_angle_less_total_order():

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tilings.fixtures import named_fixture
+from tilings.geometry import interior_point, point_in_polygon
 from tilings.matchings import (Matching, cube_coordinates,
                                enumerate_perfect_matchings,
                                symmetric_difference_cycles)
-from tilings.planar import GraphError, PlanarGraph, build_ladder
+from tilings.planar import (GraphError, PlanarGraph, build_ladder,
+                            cells_connected, graph_from_cells)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -124,3 +129,61 @@ class TestCubeCoordinates:
         base = enumerate_perfect_matchings(g)[0]
         with pytest.raises(GraphError, match="every region"):
             cube_coordinates(g, base, region_order=[0])
+
+
+# -- cube coordinates against the rational computation ------------------------
+
+
+def cube_reference(g, base, region_order):
+    """Cube coordinates computed on the rational coordinates: an interior
+    point of each region, located in each cycle of M + base."""
+    coords = g.coords
+    pts = [interior_point([coords[v] for v in g.regions[r].cycle])
+           for r in region_order]
+    out = {}
+    for m in enumerate_perfect_matchings(g):
+        x = [0] * len(pts)
+        for cycle in symmetric_difference_cycles(m, base).cycles:
+            poly = [coords[v] for v in cycle]
+            for i, p in enumerate(pts):
+                if point_in_polygon(p, poly) == 1:
+                    x[i] ^= 1
+        out[m] = tuple(x)
+    return out
+
+
+def assert_cube_matches_reference(g):
+    ms = enumerate_perfect_matchings(g)
+    if not ms:
+        return
+    order = list(range(len(g.regions)))
+    for base, region_order in ((ms[0], order), (ms[-1], order[::-1])):
+        assert (cube_coordinates(g, base, region_order)
+                == cube_reference(g, base, region_order))
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "figure2", "ladder-4-2"])
+def test_cube_coordinates_match_rational_reference(name):
+    g = named_fixture(name)
+    assert_cube_matches_reference(g)
+
+
+@st.composite
+def polyominoes(draw, max_cells=12):
+    """An even number of cells, up to 12, grown one edge-neighbour at a
+    time."""
+    n = 2 * draw(st.integers(1, max_cells // 2))
+    cells = {(0, 0)}
+    while len(cells) < n:
+        boundary = sorted({nb for r, c in cells
+                           for nb in ((r + 1, c), (r - 1, c),
+                                      (r, c + 1), (r, c - 1))} - cells)
+        cells.add(draw(st.sampled_from(boundary)))
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyominoes())
+def test_cube_coordinates_match_rational_reference_on_polyominoes(cells):
+    assert cells_connected(cells)
+    assert_cube_matches_reference(graph_from_cells(cells))

@@ -287,42 +287,60 @@ def test_subgraph_matches_rebuild(case):
 
 
 class FullScanGraph(PlanarGraph):
-    """The drawing check with the vertex-on-edge scan over every vertex,
-    not only those without edges."""
+    """The drawing check as a scan of every pair of edges on the rational
+    coordinates, with the vertex-on-edge scan over every vertex, not only
+    those without edges."""
 
     def _check_noncrossing(self) -> None:
+        coords = self.coords
         es = sorted(self.edges)
         for i in range(len(es)):
             a, b = es[i]
-            pa, pb = self.coords[a], self.coords[b]
+            pa, pb = coords[a], coords[b]
             for j in range(i + 1, len(es)):
                 c, d = es[j]
                 shared = {a, b} & {c, d}
-                pc, pd = self.coords[c], self.coords[d]
+                pc, pd = coords[c], coords[d]
                 if not shared:
                     if segments_intersect(pa, pb, pc, pd):
                         raise GraphError(
                             f"edges {es[i]} and {es[j]} cross in the drawing")
                 elif len(shared) == 1:
-                    s = self.coords[shared.pop()]
+                    s = coords[shared.pop()]
                     if segments_cross_improperly(pa, pb, pc, pd, s):
                         raise GraphError(
                             f"edges {es[i]} and {es[j]} overlap in the drawing")
         for u, v in es:
-            pu, pv = self.coords[u], self.coords[v]
-            for w, pw in self.coords.items():
+            pu, pv = coords[u], coords[v]
+            for w, pw in coords.items():
                 if w not in (u, v) and on_segment(pw, pu, pv):
                     raise GraphError(f"vertex {w} lies on edge ({u},{v})")
 
 
+def grid_points(size):
+    return st.tuples(st.integers(0, size), st.integers(0, size))
+
+
+def coordinate(d):
+    """A rational in [0, 3] with denominator d."""
+    return st.integers(0, 3 * d).map(lambda n: Fraction(n, d))
+
+
+def rational_points():
+    """Points whose coordinates have denominators up to 6."""
+    return st.tuples(st.integers(1, 6).flatmap(coordinate),
+                     st.integers(1, 6).flatmap(coordinate))
+
+
 @st.composite
 def drawings(draw):
-    """Up to 6 vertices on a 4 x 4 grid and up to 7 edges between them."""
-    points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                           min_size=2, max_size=6, unique=True))
+    """Up to 9 vertices, on a 4 x 4 grid or at rationals with denominators
+    up to 6, and up to 12 edges between them."""
+    points = draw(st.lists(st.one_of(grid_points(3), rational_points()),
+                           min_size=2, max_size=9, unique=True))
     ends = st.integers(0, len(points) - 1)
     edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
-                          max_size=7))
+                          max_size=12))
     return dict(enumerate(points)), edges
 
 
@@ -334,7 +352,30 @@ def outcome(cls, vertices, edges):
     return "ok"
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(drawings())
 def test_drawing_check_matches_full_scan(drawing):
     assert outcome(PlanarGraph, *drawing) == outcome(FullScanGraph, *drawing)
+
+
+# -- the integer lattice ------------------------------------------------------
+
+
+def test_coprime_denominators_share_one_lattice():
+    f = Fraction
+    verts = {0: (0, 0), 1: (f(7, 2), f(1, 3)), 2: (f(17, 5), f(22, 7)),
+             3: (f(1, 11), f(3, 1))}
+    g = PlanarGraph(verts, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert g.scale == 2 * 3 * 5 * 7 * 11 == 2310
+    assert g.lattice[1] == (8085, 770)
+    assert g.coords == {v: (f(x), f(y)) for v, (x, y) in verts.items()}
+    assert g.to_json_obj() == {
+        "vertices": [{"id": 0, "x": "0/1", "y": "0/1"},
+                     {"id": 1, "x": "7/2", "y": "1/3"},
+                     {"id": 2, "x": "17/5", "y": "22/7"},
+                     {"id": 3, "x": "1/11", "y": "3/1"}],
+        "edges": [[0, 1], [0, 3], [1, 2], [2, 3]],
+        "regions": [[0, 1, 2, 3]],
+    }
+    again = build_planar_graph(g.to_json_obj())
+    assert (again.scale, again.lattice) == (g.scale, g.lattice)
