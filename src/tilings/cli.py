@@ -204,9 +204,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args) -> None:
+    """Reject size bounds that would make a run vacuous or meaningless."""
+    if args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, not {args.budget}")
+    for option in ("max_n", "max_d"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} must be at least 1, not {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except (GraphError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,12 +71,8 @@ class CubicalMatchingComplex:
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
         """The 2*dim faces covered by f: every region of f released."""
-        return [sub for r in sorted(f.cycles) for sub in self._release(f, r)]
-
-    def _release(self, f: TilingFace, r: int) -> list[TilingFace]:
-        """The two facets of f that flip region r back into the matching."""
-        return [TilingFace(Matching(f.matching.edges | alt), f.cycles - {r})
-                for alt in region_alternations(self.graph, r)]
+        return [sub for r in sorted(f.cycles)
+                for sub in _release(f, r, region_alternations(self.graph, r))]
 
     def f_vector(self) -> list[int]:
         if not self.faces:
@@ -105,10 +101,15 @@ class CubicalMatchingComplex:
 
         # Releasing one region joins each face to two faces a dimension
         # down, so every face reaches a vertex, and each edge joins its two
-        # vertices: that is all the connectivity of the complex.
+        # vertices: that is all the connectivity of the complex.  Each
+        # region's alternations are computed once per call.
+        pairs: dict[int, list[frozenset[Edge]]] = {}
         for i, f in enumerate(self.faces):
             if f.cycles:
-                for sub in self._release(f, min(f.cycles)):
+                r = min(f.cycles)
+                if r not in pairs:
+                    pairs[r] = region_alternations(self.graph, r)
+                for sub in _release(f, r, pairs[r]):
                     union(i, self._index[sub])
         groups: dict[int, list[TilingFace]] = {}
         for i, f in enumerate(self.faces):
@@ -121,6 +122,14 @@ class CubicalMatchingComplex:
     def serialize(self) -> list[dict]:
         return [{"matching": [list(e) for e in f.matching.sorted_edges()],
                  "cycles": sorted(f.cycles)} for f in self.faces]
+
+
+def _release(f: TilingFace, r: int, pair: list[frozenset[Edge]]
+             ) -> list[TilingFace]:
+    """The two facets of f that flip region r, whose boundary alternations
+    are ``pair``, back into the matching."""
+    return [TilingFace(Matching(f.matching.edges | alt), f.cycles - {r})
+            for alt in pair]
 
 
 def region_alternations(g: PlanarGraph, r: int) -> list[frozenset[Edge]]:

@@ -87,21 +87,32 @@ def triangular_prism() -> PlanarGraph:
 # -- polyomino zoo -----------------------------------------------------------------
 
 
-def _normalize(cells: frozenset[Cell]) -> frozenset[Cell]:
-    r0 = min(r for r, _ in cells)
-    c0 = min(c for _, c in cells)
-    return frozenset((r - r0, c - c0) for r, c in cells)
+def _orbit(cells: frozenset[Cell], w: int) -> list[tuple[int, ...]]:
+    """The images of the cells under the 8 square symmetries, each moved to
+    touch both axes and coded as the sorted ints r*w + c.  With w above
+    every column the codes sort like the (r, c) pairs, so the least image
+    is the one whose sorted cell list is least."""
+    rs, cs = zip(*cells)
+    r0, r1, c0, c1 = min(rs), max(rs), min(cs), max(cs)
+    down = [r - r0 for r in rs]
+    up = [r1 - r for r in rs]
+    right = [c - c0 for c in cs]
+    left = [c1 - c for c in cs]
+    return [tuple(sorted([a * w + b for a, b in zip(rows, cols)]))
+            for rows, cols in ((down, right), (down, left), (up, right),
+                               (up, left), (right, down), (right, up),
+                               (left, down), (left, up))]
+
+
+def _decode(code: tuple[int, ...], w: int) -> frozenset[Cell]:
+    return frozenset(divmod(x, w) for x in code)
 
 
 def canonical_form(cells: frozenset[Cell]) -> frozenset[Cell]:
-    """Representative of the polyomino modulo the 8 square symmetries."""
-    variants = []
-    current = cells
-    for _ in range(4):
-        current = frozenset((c, -r) for r, c in current)
-        variants.append(_normalize(current))
-        variants.append(_normalize(frozenset((r, -c) for r, c in current)))
-    return min(variants, key=sorted)
+    """Representative of the polyomino modulo the 8 square symmetries: the
+    translated image whose sorted cell list is least."""
+    w = 1 + max(max(axis) - min(axis) for axis in zip(*cells))
+    return _decode(min(_orbit(cells, w)), w)
 
 
 def is_simply_connected(cells: frozenset[Cell]) -> bool:
@@ -130,17 +141,36 @@ def is_simply_connected(cells: frozenset[Cell]) -> bool:
 
 @lru_cache(maxsize=None)
 def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
-    """All free polyominoes with exactly n cells, canonically normalized."""
+    """All free polyominoes with exactly n cells, canonically normalized,
+    in the order of their sorted cell lists.
+
+    Each child P | {nb} of a smaller free polyomino P is looked up by its
+    translated cell codes (width n, above every column), held as the bits
+    of one int; the first child of each symmetry class has its orbit
+    computed once, all 8 images marked seen and the least one kept
+    (Redelmeier's generate-and-canonicalise).
+    """
     if n == 1:
         return (frozenset({(0, 0)}),)
-    out = set()
+    seen: set[int] = set()
+    kept = []
     for smaller in free_polyominoes(n - 1):
-        for r, c in smaller:
-            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-                if nb in smaller:
-                    continue
-                out.add(canonical_form(smaller | {nb}))
-    return tuple(sorted(out, key=sorted))
+        bits = sum(1 << (r * n + c) for r, c in smaller)
+        free = {nb for r, c in smaller
+                for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
+                if nb not in smaller}
+        for nr, nc in free:
+            # smaller touches both axes, so only a cell at -1 shifts it.
+            dr, dc = (nr < 0), (nc < 0)
+            key = bits << (dr * n + dc) | 1 << ((nr + dr) * n + nc + dc)
+            if key in seen:
+                continue
+            orbit = _orbit(smaller | {(nr, nc)}, n)
+            seen.update(sum(1 << x for x in code) for code in orbit)
+            kept.append(min(orbit))
+    del seen  # before the level's frozensets, to lower the peak
+    kept.sort()
+    return tuple(_decode(code, n) for code in kept)
 
 
 def _has_perfect_matching(cells: frozenset[Cell]) -> bool:

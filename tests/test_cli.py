@@ -119,6 +119,28 @@ def test_verify_unknown_scope(capsys):
     assert "no checks match" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "-3", "--scope", "affine"],
+    ["verify", "--max-n", "0", "--scope", "closed"],
+    ["verify", "--max-d", "0", "--scope", "a-map"],
+    ["verify", "--budget", "-1", "--scope", "contractibility"],
+    ["complex", "figure2", "--collapse", "--budget", "-5"],
+], ids=["negative-max-n", "zero-max-n", "zero-max-d", "verify-budget",
+        "complex-budget"])
+def test_vacuous_bounds_fail(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_smallest_bounds_run(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-d", "1",
+                       "--budget", "0", "--scope", "closed")
+    assert code == 0
+    assert "PASS closed-forms" in out
+
+
 def test_output_byte_stable(capsys):
     one = run(capsys, "complex", "g2", "--format", "json")
     two = run(capsys, "complex", "g2", "--format", "json")

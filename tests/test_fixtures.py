@@ -1,5 +1,7 @@
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilings.complexes import build_complex
 from tilings.fixtures import (_has_perfect_matching, canonical_form,
@@ -39,15 +41,73 @@ def test_core_names_cover_all_bumps():
 
 
 def test_free_polyomino_counts():
-    # Classical counts of free polyominoes by cell count.
-    assert [len(free_polyominoes(n)) for n in range(1, 8)] == \
-        [1, 1, 2, 5, 12, 35, 108]
+    # Classical counts of free polyominoes by cell count (OEIS A000105).
+    assert [len(free_polyominoes(n)) for n in range(1, 11)] == \
+        [1, 1, 2, 5, 12, 35, 108, 369, 1285, 4655]
+
+
+def per_pair_canonical_form(cells):
+    """The canonical form the orbit scheme replaced: all 8 images, each
+    translated to the axes, least by sorted cell list."""
+    def normalize(cs):
+        r0 = min(r for r, _ in cs)
+        c0 = min(c for _, c in cs)
+        return frozenset((r - r0, c - c0) for r, c in cs)
+
+    variants = []
+    current = cells
+    for _ in range(4):
+        current = frozenset((c, -r) for r, c in current)
+        variants.append(normalize(current))
+        variants.append(normalize(frozenset((r, -c) for r, c in current)))
+    return min(variants, key=sorted)
+
+
+def per_pair_free_polyominoes(max_n):
+    """The generator the orbit scheme replaced: every (polyomino, free
+    neighbour) child canonicalised; one tuple of shapes per cell count."""
+    levels = [(frozenset({(0, 0)}),)]
+    for _ in range(2, max_n + 1):
+        out = set()
+        for smaller in levels[-1]:
+            for r, c in smaller:
+                for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                    if nb not in smaller:
+                        out.add(per_pair_canonical_form(smaller | {nb}))
+        levels.append(tuple(sorted(out, key=sorted)))
+    return levels
+
+
+def test_free_polyominoes_match_per_pair_generator():
+    for n, level in enumerate(per_pair_free_polyominoes(9), 1):
+        assert free_polyominoes(n) == level
 
 
 def test_canonical_form_identifies_rotations():
     ell = frozenset({(0, 0), (1, 0), (1, 1)})
     rotated = frozenset({(0, 0), (0, 1), (1, 0)})
     assert canonical_form(ell) == canonical_form(rotated)
+
+
+SYMMETRIES = [lambda r, c: (r, c), lambda r, c: (r, -c),
+              lambda r, c: (-r, c), lambda r, c: (-r, -c),
+              lambda r, c: (c, r), lambda r, c: (c, -r),
+              lambda r, c: (-c, r), lambda r, c: (-c, -r)]
+
+cell_sets = st.frozensets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                          min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=cell_sets, dr=st.integers(-20, 20), dc=st.integers(-20, 20))
+def test_canonical_form_is_invariant_and_idempotent(cells, dr, dc):
+    canon = canonical_form(cells)
+    assert canon == per_pair_canonical_form(cells)
+    assert canonical_form(canon) == canon
+    for sym in SYMMETRIES:
+        image = frozenset((a + dr, b + dc)
+                          for a, b in (sym(r, c) for r, c in cells))
+        assert canonical_form(image) == canon
 
 
 def test_simply_connected_detects_hole():

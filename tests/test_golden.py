@@ -4,7 +4,9 @@ The tables hold the SHA-256 of
 ``tilings complex NAME --betti --collapse --cube --format json`` for each
 core fixture and for polyomino files of rectangles larger than any of them.
 A refactor that changes any byte of that output fails here; the tables
-change only with an intended change of output.
+change only with an intended change of output.  ``SHAPE_DIGESTS`` pins the
+corpus shapes themselves: names and sorted cells of the polyomino zoo and
+of two seeds of random shapes.
 """
 
 import hashlib
@@ -12,7 +14,8 @@ import hashlib
 import pytest
 
 from tilings.cli import main
-from tilings.fixtures import core_fixture_names
+from tilings.fixtures import (core_fixture_names, polyomino_zoo,
+                              random_quad_glued)
 
 DIGESTS = {
     "g1":
@@ -128,6 +131,17 @@ RECTANGLE_DIGESTS = {
         "9ccb283ae962e3a5e73e0eef51ad79283b72fd9c6dd51bfa376a602cd58752a6",
 }
 
+# SHA-256 of repr([(name, sorted(cells)), ...]); cells are sorted because a
+# frozenset's repr order is not stable.
+SHAPE_DIGESTS = {
+    "zoo-10":
+        "3651f26d5aa9ac2cfbec213accce972c731f37ff02d2c8152178d3b747bf2450",
+    "random-0":
+        "85a81907a5568aea9b762ab3429347d08286dd38f80c21dbf64eaeee390af613",
+    "random-201":
+        "4b69b52f886179e0b27a4a341bfa211c7f33e864d66bcfe5a0fb6c4d4b900c64",
+}
+
 
 def test_table_covers_the_core_fixtures():
     assert sorted(DIGESTS) == sorted(core_fixture_names())
@@ -152,3 +166,14 @@ def test_rectangle_output_digest(capsys, tmp_path, rows, cols):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == RECTANGLE_DIGESTS[rows, cols])
+
+
+@pytest.mark.parametrize("which", sorted(SHAPE_DIGESTS))
+def test_corpus_shapes_digest(which):
+    if which == "zoo-10":
+        shapes = polyomino_zoo(10)
+    else:
+        shapes = random_quad_glued(int(which.split("-")[1]))
+    text = repr([(name, sorted(cells)) for name, cells in shapes])
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == SHAPE_DIGESTS[which])
