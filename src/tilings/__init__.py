@@ -2,8 +2,7 @@
 graphs, with the associated Fibonacci/Catalan polynomial calculus."""
 
 from .complexes import (CubicalMatchingComplex, TilingFace, build_complex,
-                        face_leq, region_alternations,
-                        verify_edge_decomposition)
+                        face_leq, verify_edge_decomposition)
 from .fibpoly import (Poly, a_unit_closed_form, affine_rank, apply_A,
                       bareiss_rank, catalan, catalan_identity_check,
                       f_polynomial, fibonacci, multiset_no_consecutive_count,
@@ -32,7 +31,6 @@ __all__ = [
     "independence_complex", "kozlov_reference_betti", "link_of_face",
     "load_graph_json", "matched_region_graph",
     "multiset_no_consecutive_count", "p_closed_form", "p_polynomial",
-    "parse_polyomino", "reduce_graph", "region_alternations",
-    "symmetric_difference_cycles", "verify_edge_decomposition", "weak_dual",
-    "z2_betti",
+    "parse_polyomino", "reduce_graph", "symmetric_difference_cycles",
+    "verify_edge_decomposition", "weak_dual", "z2_betti",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 from .complexes import build_complex
 from .fibpoly import apply_A, f_polynomial, p_closed_form, p_polynomial, ONE, X
 from .fixtures import core_fixture_names, named_fixture
-from .matchings import cube_coordinates, enumerate_perfect_matchings
+from .matchings import cube_coordinates
 from .planar import (GraphError, PlanarGraph, build_from_polyomino,
                      load_graph_json)
 from .topology import collapse_search, z2_betti
@@ -81,14 +81,12 @@ def cmd_complex(args) -> int:
         payload["collapse"] = {"status": verdict.status,
                                "reason": verdict.reason}
     if args.cube:
-        matchings = enumerate_perfect_matchings(g)
-        if matchings:
-            coords = cube_coordinates(g, matchings[0])
-            payload["cube_coordinates"] = [
-                {"matching": [list(e) for e in m], "x": list(x)}
-                for m, x in sorted(coords.items())]
-        else:
-            payload["cube_coordinates"] = []
+        # The vertices of the complex are the perfect matchings, in order.
+        verts = k.vertices()
+        coords = cube_coordinates(g, verts[0].matching) if verts else {}
+        payload["cube_coordinates"] = [
+            {"matching": [list(e) for e in m], "x": list(x)}
+            for m, x in sorted(coords.items())]
     _emit(payload, args.format)
     return 0
 
@@ -96,19 +94,13 @@ def cmd_complex(args) -> int:
 def cmd_poly(args) -> int:
     kind = args.kind.upper()
     params = args.params
-    if kind == "F":
+    if kind in ("F", "P"):
         n = int(params[0])
         bump = int(params[1]) if len(params) > 1 else None
-        poly = f_polynomial(n, bump)
-        payload = {"kind": "F", "n": n, "bump": bump,
+        poly = (f_polynomial if kind == "F" else p_polynomial)(n, bump)
+        payload = {"kind": kind, "n": n, "bump": bump,
                    "coeffs": list(poly.coeffs)}
-    elif kind == "P":
-        n = int(params[0])
-        bump = int(params[1]) if len(params) > 1 else None
-        poly = p_polynomial(n, bump)
-        payload = {"kind": "P", "n": n, "bump": bump,
-                   "coeffs": list(poly.coeffs)}
-        if bump is None:
+        if kind == "P" and bump is None:
             payload["matches_closed_form"] = poly == p_closed_form(n)
     elif kind == "CLOSED":
         n = int(params[0])

@@ -41,19 +41,21 @@ def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
         return False
     extra = f1.matching.edges - f2.matching.edges
     for r in f2.cycles - f1.cycles:
-        alts = region_alternations(g, r)
-        here = extra & (alts[0] | alts[1])
-        if here not in alts:
+        here = extra & g.regions[r].edge_set
+        if here not in g.regions[r].alternations:
             return False
         extra -= here
     return not extra
 
 
 class CubicalMatchingComplex:
+    """Faces of the cubical complex of ``graph``, in the order given:
+    :func:`build_complex` sorts them by :meth:`TilingFace.sort_key`, so by
+    dimension first, and components keep that order."""
+
     def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace]):
         self.graph = graph
-        self.faces: tuple[TilingFace, ...] = tuple(
-            sorted(faces, key=TilingFace.sort_key))
+        self.faces: tuple[TilingFace, ...] = tuple(faces)
         self._index = {f: i for i, f in enumerate(self.faces)}
 
     def __len__(self) -> int:
@@ -71,8 +73,18 @@ class CubicalMatchingComplex:
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
         """The 2*dim faces covered by f: every region of f released."""
+        regions = self.graph.regions
         return [sub for r in sorted(f.cycles)
-                for sub in _release(f, r, region_alternations(self.graph, r))]
+                for sub in _release(f, r, regions[r].alternations)]
+
+    def cofacets_of(self, f: TilingFace) -> list[TilingFace]:
+        """The faces of the complex that cover f: each region whose boundary
+        alternation lies in f's matching flipped out of it."""
+        edges = f.matching.edges
+        ups = (TilingFace(Matching(edges - alt), f.cycles | {r})
+               for r, region in enumerate(self.graph.regions)
+               for alt in region.alternations if alt <= edges)
+        return [up for up in ups if up in self._index]
 
     def f_vector(self) -> list[int]:
         if not self.faces:
@@ -96,35 +108,29 @@ class CubicalMatchingComplex:
                 i = parent[i]
             return i
 
-        def union(i: int, j: int) -> None:
-            parent[find(i)] = find(j)
-
         # Releasing one region joins each face to two faces a dimension
         # down, so every face reaches a vertex, and each edge joins its two
-        # vertices: that is all the connectivity of the complex.  Each
-        # region's alternations are computed once per call.
-        pairs: dict[int, list[frozenset[Edge]]] = {}
+        # vertices: that is all the connectivity of the complex.
+        regions = self.graph.regions
         for i, f in enumerate(self.faces):
             if f.cycles:
                 r = min(f.cycles)
-                if r not in pairs:
-                    pairs[r] = region_alternations(self.graph, r)
-                for sub in _release(f, r, pairs[r]):
-                    union(i, self._index[sub])
+                for sub in _release(f, r, regions[r].alternations):
+                    parent[find(i)] = find(self._index[sub])
+        # Each component keeps the order of the faces, and the components
+        # come in the order of their first faces.
         groups: dict[int, list[TilingFace]] = {}
         for i, f in enumerate(self.faces):
             groups.setdefault(find(i), []).append(f)
-        comps = [CubicalMatchingComplex(self.graph, fs)
-                 for fs in groups.values()]
-        comps.sort(key=lambda c: c.faces[0].sort_key())
-        return comps
+        return [CubicalMatchingComplex(self.graph, fs)
+                for fs in groups.values()]
 
     def serialize(self) -> list[dict]:
         return [{"matching": [list(e) for e in f.matching.sorted_edges()],
                  "cycles": sorted(f.cycles)} for f in self.faces]
 
 
-def _release(f: TilingFace, r: int, pair: list[frozenset[Edge]]
+def _release(f: TilingFace, r: int, pair: tuple[frozenset[Edge], ...]
              ) -> list[TilingFace]:
     """The two facets of f that flip region r, whose boundary alternations
     are ``pair``, back into the matching."""
@@ -132,25 +138,15 @@ def _release(f: TilingFace, r: int, pair: list[frozenset[Edge]]
             for alt in pair]
 
 
-def region_alternations(g: PlanarGraph, r: int) -> list[frozenset[Edge]]:
-    """The two perfect matchings of an even region's boundary cycle."""
-    cyc = g.regions[r].cycle
-    n = len(cyc)
-    if n % 2 == 1:
-        raise GraphError(f"region {r} is odd")
-    a = frozenset(edge_key(cyc[i], cyc[(i + 1) % n]) for i in range(0, n, 2))
-    b = frozenset(edge_key(cyc[i], cyc[(i + 1) % n]) for i in range(1, n, 2))
-    return [a, b]
-
-
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
     from the one search of :func:`matchings_of_adjacency`."""
     even = [(i, r.cycle) for i, r in enumerate(g.regions)
             if r.parity == "even"]
-    return CubicalMatchingComplex(
-        g, (TilingFace(m, s)
-            for m, s in matchings_of_adjacency(g.vertex_ids, g.adj, even)))
+    return CubicalMatchingComplex(g, sorted(
+        (TilingFace(m, s)
+         for m, s in matchings_of_adjacency(g.vertex_ids, g.adj, even)),
+        key=TilingFace.sort_key))
 
 
 def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:

@@ -163,9 +163,12 @@ def p_closed_form(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def _a_of_one(d: int) -> Poly:
     """Image of the constant 1 under the degree-d map, from the recursive
-    definition (not the Catalan closed form, which is checked against it)."""
+    definition (not the Catalan closed form, which is checked against it).
+    The cache is filled upward from d = 0, so no call nests two deep."""
     if d == 0:
         return Poly([1, 2])
+    for e in range(d):
+        _a_of_one(e)
     p = p_raw(2 * d - 1) - ONE
     acc = p_raw(2 * d + 1)
     for k in range(1, len(p.coeffs)):

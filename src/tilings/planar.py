@@ -9,9 +9,10 @@ they are then validated against the drawing.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import (Point, angle_less, as_point, common_lattice,
@@ -32,7 +33,8 @@ def edge_key(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Region:
-    """A bounded elementary region, stored as its boundary cycle."""
+    """A bounded elementary region, stored as its boundary cycle.  Its edge
+    set and boundary alternations are computed once, on first use."""
 
     cycle: tuple[int, ...]
 
@@ -47,11 +49,22 @@ class Region:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.cycle)
 
-    @property
+    def _boundary(self) -> list[Edge]:
+        cyc = self.cycle
+        return [edge_key(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
+
+    @cached_property
     def edge_set(self) -> frozenset[Edge]:
-        n = len(self.cycle)
-        return frozenset(edge_key(self.cycle[i], self.cycle[(i + 1) % n])
-                         for i in range(n))
+        return frozenset(self._boundary())
+
+    @cached_property
+    def alternations(self) -> tuple[frozenset[Edge], ...]:
+        """The two perfect matchings of the boundary cycle, every other edge
+        from the first and from the second; none for an odd region."""
+        if len(self.cycle) % 2:
+            return ()
+        edges = self._boundary()
+        return frozenset(edges[0::2]), frozenset(edges[1::2])
 
 
 @dataclass(frozen=True)
@@ -62,13 +75,7 @@ class DualGraph:
     adjacency: frozenset[tuple[int, int]]
 
     def neighbors(self, r: int) -> set[int]:
-        out = set()
-        for a, b in self.adjacency:
-            if a == r:
-                out.add(b)
-            elif b == r:
-                out.add(a)
-        return out
+        return {b if a == r else a for a, b in self.adjacency if r in (a, b)}
 
 
 @dataclass
@@ -240,23 +247,13 @@ class PlanarGraph:
 
     def _check_euler(self, faces: list[tuple[int, ...]]) -> None:
         comp = self.component_labels()
-        n_comp_edges: dict[int, int] = {}
-        n_comp_verts: dict[int, int] = {}
-        n_comp_faces: dict[int, int] = {}
-        for u, v in self.edges:
-            n_comp_edges[comp[u]] = n_comp_edges.get(comp[u], 0) + 1
-        for v in self.lattice:
-            n_comp_verts[comp[v]] = n_comp_verts.get(comp[v], 0) + 1
-        for walk in faces:
-            c = comp[walk[0]]
-            n_comp_faces[c] = n_comp_faces.get(c, 0) + 1
-        for c, ne in n_comp_edges.items():
-            nv = n_comp_verts[c]
-            nf = n_comp_faces.get(c, 0)
-            if nv - ne + nf != 2:
-                raise GraphError(
-                    f"Euler formula fails on component {c}: "
-                    f"V={nv} E={ne} F={nf}")
+        ne = Counter(comp[u] for u, _ in self.edges)
+        nv = Counter(comp.values())
+        nf = Counter(comp[walk[0]] for walk in faces)
+        for c in ne:
+            if nv[c] - ne[c] + nf[c] != 2:
+                raise GraphError(f"Euler formula fails on component {c}: "
+                                 f"V={nv[c]} E={ne[c]} F={nf[c]}")
 
     def _bounded_simple_faces(self, faces: list[tuple[int, ...]]) -> list[Region]:
         comp = self.component_labels()
@@ -461,14 +458,10 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
 
 
 def weak_dual(g: PlanarGraph) -> DualGraph:
-    pairs = set()
-    n = len(g.regions)
-    for i in range(n):
-        ei = g.regions[i].edge_set
-        for j in range(i + 1, n):
-            if ei & g.regions[j].edge_set:
-                pairs.add((i, j))
-    return DualGraph(tuple(range(n)), frozenset(pairs))
+    rs = g.regions
+    return DualGraph(tuple(range(len(rs))), frozenset(
+        (i, j) for i in range(len(rs)) for j in range(i + 1, len(rs))
+        if not rs[i].edge_set.isdisjoint(rs[j].edge_set)))
 
 
 def classify_edges(g: PlanarGraph) -> EdgeClassification:

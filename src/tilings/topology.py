@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Collection, Mapping, Optional, Union
 
-from .complexes import (CubicalMatchingComplex, TilingFace, face_leq,
-                        region_alternations)
-from .planar import GraphError, weak_dual
+from .complexes import CubicalMatchingComplex, TilingFace
+from .planar import GraphError
 
 
 @dataclass(frozen=True)
@@ -62,44 +60,45 @@ def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
     return SimplicialComplex.from_faces(faces)
 
 
-_dual_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def matched_region_graph(k: CubicalMatchingComplex,
                          f: TilingFace) -> dict[int, set[int]]:
     """The subgraph of the weak dual induced on regions whose boundary
-    alternates in and out of the face's matching, as neighbour sets."""
+    alternates in and out of the face's matching, as neighbour sets: two
+    such regions are adjacent when they share an edge."""
     if f not in k:
         raise GraphError("face does not belong to the complex")
-    g = k.graph
-    out: dict[int, set[int]] = {
-        r: set() for r, region in enumerate(g.regions)
-        if region.parity == "even"
-        and any(alt <= f.matching.edges for alt in region_alternations(g, r))}
-    dual = _dual_cache.get(g)
-    if dual is None:
-        dual = weak_dual(g)
-        _dual_cache[g] = dual
-    for a, b in dual.adjacency:
-        if a in out and b in out:
-            out[a].add(b)
-            out[b].add(a)
-    return out
+    regions = k.graph.regions
+    matched = [r for r, region in enumerate(regions)
+               if any(alt <= f.matching.edges for alt in region.alternations)]
+    return {a: {b for b in matched if b != a and not
+                regions[a].edge_set.isdisjoint(regions[b].edge_set)}
+            for a in matched}
 
 
 def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
                  check_model: bool = True) -> SimplicialComplex:
     """Link of a face, read from the faces above it: each co-face c
-    contributes the regions it adds, c.cycles - f.cycles.
+    contributes the regions it adds, c.cycles - f.cycles.  The co-faces are
+    the upward closure of f under the cover relation, and the facets of the
+    link come from those with no cover.
 
     The result is certified against the independence complex of the matched
     region graph; a mismatch is an invariant violation and raises.
     """
     if f not in k:
         raise GraphError("face does not belong to the complex")
-    link = SimplicialComplex.from_faces(
-        c.cycles - f.cycles for c in k.faces
-        if f.cycles < c.cycles and face_leq(f, c, k.graph))
+    seen, stack, facets = {f}, [f], []
+    while stack:
+        c = stack.pop()
+        ups = k.cofacets_of(c)
+        if not ups and c is not f:
+            facets.append(c.cycles - f.cycles)
+        for up in ups:
+            if up not in seen:
+                seen.add(up)
+                stack.append(up)
+    link = SimplicialComplex(frozenset(r for s in facets for r in s),
+                             frozenset(facets))
     if check_model:
         model = independence_complex(matched_region_graph(k, f))
         if link.vertices != model.vertices or link.facets != model.facets:
@@ -141,8 +140,13 @@ def _cells_and_boundaries(
 def z2_betti(c: Union[SimplicialComplex, CubicalMatchingComplex]
              ) -> tuple[int, ...]:
     """Unreduced Z/2 Betti numbers via boundary-matrix ranks."""
-    cells, dims, facets = _cells_and_boundaries(c)
-    if not cells:
+    _, dims, facets = _cells_and_boundaries(c)
+    return _betti(dims, facets)
+
+
+def _betti(dims: list[int], facets: list[list[int]]) -> tuple[int, ...]:
+    """Z/2 Betti numbers of a face poset, its cells in order of dimension."""
+    if not dims:
         return ()
     top = dims[-1]
     # Cells of dimension d are cells[start[d]:start[d + 1]].
@@ -224,7 +228,7 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
     cells, dims, facets = _cells_and_boundaries(c)
     if not cells:
         return CollapseVerdict("not_collapsible", reason="empty complex")
-    betti = z2_betti(c)
+    betti = _betti(dims, facets)
     if betti[0] > 1:
         return CollapseVerdict("not_collapsible", reason="disconnected")
     if betti != (1,):

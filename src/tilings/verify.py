@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Optional
 
-from .complexes import (CubicalMatchingComplex, _edge_decomposition,
-                        build_complex, face_leq)
+from .complexes import (CubicalMatchingComplex, TilingFace,
+                        _edge_decomposition, build_complex)
 from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
                       affine_rank, apply_A, bareiss_rank,
                       catalan_identity_check, fibonacci,
                       multiset_no_consecutive_count, p_closed_form,
                       p_polynomial, p_raw)
 from .fixtures import figure_counterexample, iter_fixture_graphs
-from .matchings import cube_coordinates, enumerate_perfect_matchings
+from .matchings import Matching, cube_coordinates
 from .planar import PlanarGraph, reduce_graph
 from .topology import (collapse_search, independence_complex,
                        kozlov_reference_betti, link_of_face,
@@ -416,20 +416,18 @@ def check_cube(corpus: Corpus, bounds: Bounds) -> CheckResult:
     for name, g in corpus.graphs():
         if len(g.regions) > bounds.max_regions:
             continue
-        matchings = enumerate_perfect_matchings(g)
-        if not matchings:
+        k = corpus.complex(name, g)
+        verts = k.vertices()
+        if not verts:
             continue
-        coords = cube_coordinates(g, matchings[0])
+        coords = cube_coordinates(g, verts[0].matching)
         checked += 1
         if len(set(coords.values())) != len(coords):
             return CheckResult("cube", statement, False, checked,
                                {"fixture": name, "part": "injectivity"})
-        k = corpus.complex(name, g)
-        verts = k.vertices()
-        for f in k.faces:
+        for f, below in _vertices_below(k).items():
             if f.dim == 0:
                 continue
-            below = [v.matching for v in verts if face_leq(v, f, g)]
             free = sorted(f.cycles)
             outside = [i for i in range(len(g.regions)) if i not in f.cycles]
             pins = {tuple(coords[m][i] for i in outside) for m in below}
@@ -441,6 +439,18 @@ def check_cube(corpus: Corpus, bounds: Bounds) -> CheckResult:
                                     "cycles": free,
                                     "vertices_below": len(below)})
     return CheckResult("cube", statement, True, checked)
+
+
+def _vertices_below(k: CubicalMatchingComplex
+                    ) -> dict[TilingFace, set[Matching]]:
+    """The matchings of the vertices below each face: a vertex has its own,
+    and a face those of its facets in k, which come before it in k's order
+    of dimension, so its regions are released one at a time."""
+    below: dict[TilingFace, set[Matching]] = {}
+    for f in k.faces:
+        below[f] = set().union(*(below[sub] for sub in k.facets_of(f)
+                                 if sub in k)) if f.dim else {f.matching}
+    return below
 
 
 CHECKS: list[tuple[str, Callable[[Corpus, Bounds], CheckResult]]] = [

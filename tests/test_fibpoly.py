@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -277,3 +281,13 @@ class TestMultisetCounts:
 
 def test_fibonacci_values():
     assert [fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
+
+
+def test_a_map_fills_its_cache_without_deep_recursion():
+    # A fresh interpreter, so nothing is cached yet, with a recursion limit
+    # far below d.
+    code = ("import sys; sys.setrecursionlimit(150)\n"
+            "from tilings.fibpoly import ONE, a_unit_closed_form, apply_A\n"
+            "assert apply_A(120, ONE) == a_unit_closed_form(120, 0)\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
