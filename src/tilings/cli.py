@@ -161,8 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cubical matching complexes of embedded planar graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--format", choices=["json", "table"], default="table")
+
+    def search(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=20000)
 
@@ -171,40 +173,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betti", action="store_true")
     p.add_argument("--collapse", action="store_true")
     p.add_argument("--cube", action="store_true")
-    common(p)
+    output(p)
+    search(p)
     p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("poly", help="polynomial calculus")
     p.add_argument("kind", help="F | P | A | closed")
     p.add_argument("params", nargs="+")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--scope", default="all")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-d", type=int, default=None)
-    common(p)
+    output(p)
+    search(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fixtures", help="list or dump the fixture corpus")
     p.add_argument("action", choices=["list", "dump"])
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(func=cmd_fixtures)
 
     return parser
 
 
 def _check_limits(args) -> None:
-    """Reject size bounds that would make a run vacuous or meaningless."""
-    if args.budget < 0:
-        raise ValueError(f"--budget must be at least 0, not {args.budget}")
-    for option in ("max_n", "max_d"):
+    """Reject size bounds that would make a run vacuous or meaningless,
+    for the options the command has."""
+    for option, least in (("budget", 0), ("max_n", 1), ("max_d", 1)):
         value = getattr(args, option, None)
-        if value is not None and value < 1:
+        if value is not None and value < least:
             flag = "--" + option.replace("_", "-")
-            raise ValueError(f"{flag} must be at least 1, not {value}")
+            raise ValueError(f"{flag} must be at least {least}, not {value}")
 
 
 def main(argv=None) -> int:

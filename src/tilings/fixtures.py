@@ -259,14 +259,12 @@ def core_fixture_names(max_ladder: int = 8) -> list[str]:
 def iter_fixture_graphs(max_ladder: int = 8,
                         max_cells: int = 10,
                         seed: int = 0,
-                        random_count: int = 20,
-                        include_zoo: bool = True
+                        random_count: int = 20
                         ) -> Iterator[tuple[str, PlanarGraph]]:
     """The full fixture corpus as (name, graph) pairs."""
     for name in core_fixture_names(max_ladder):
         yield name, named_fixture(name)
-    if include_zoo:
-        for name, cells in polyomino_zoo(max_cells):
-            yield name, graph_from_cells(set(cells))
+    for name, cells in polyomino_zoo(max_cells):
+        yield name, graph_from_cells(set(cells))
     for name, cells in random_quad_glued(seed, count=random_count):
         yield name, graph_from_cells(set(cells))

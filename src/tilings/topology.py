@@ -45,19 +45,28 @@ class SimplicialComplex:
 
 
 def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
-    """Complex of the independent vertex sets of a graph given by neighbours."""
-    faces = []
+    """Complex of the independent vertex sets of a graph given by neighbours,
+    built from its facets, the maximal independent sets.
 
-    def extend(chosen: frozenset, rest: list) -> None:
-        for k, v in enumerate(rest):
-            if any(u in h[v] for u in chosen):
-                continue
-            faces.append(chosen | {v})
-            extend(chosen | {v}, rest[k + 1:])
+    Bron–Kerbosch on the complement graph: ``free`` holds the later vertices
+    that may still join ``chosen``, and ``done`` the earlier ones that may
+    join too but whose facets with ``chosen`` were listed already.  A set is
+    a facet when neither list has a vertex left, that is when every vertex
+    outside it has a neighbour inside it.
+    """
+    facets = []
 
-    extend(frozenset(), sorted(h, key=repr))
-    # Every vertex is a face, so the facets cover the isolated vertices too.
-    return SimplicialComplex.from_faces(faces)
+    def extend(chosen: frozenset, free: list, done: list) -> None:
+        if not free and not done and chosen:
+            facets.append(chosen)
+        for k, v in enumerate(free):
+            extend(chosen | {v}, [u for u in free[k + 1:] if v not in h[u]],
+                   [u for u in done + free[:k] if v not in h[u]])
+
+    extend(frozenset(), sorted(h, key=repr), [])
+    # Every vertex lies in a facet, so the facets cover the isolated ones too.
+    return SimplicialComplex(frozenset(v for f in facets for v in f),
+                             frozenset(facets))
 
 
 def matched_region_graph(k: CubicalMatchingComplex,

@@ -1,15 +1,20 @@
 """One-shot verification suite.
 
 Each check exercises one of the structural identities the package is built
-around, over the pinned fixture corpus, and reports pass/fail with a minimal
-witness on failure.  ``run_verification`` drives the whole catalog; the CLI
-and the acceptance tests are thin wrappers over it.
+around, over the pinned fixture corpus.  A check is a generator of cases:
+it yields None for each case that holds and a witness dict for a case that
+fails.  ``_check`` registers it behind one runner, which counts the cases
+up to and including the first witness, stops there, and is the only code
+that builds a ``CheckResult``.  ``CHECKS`` lists the checks as (check id,
+function of corpus and bounds) pairs; ``run_verification`` drives the whole
+catalog, and the CLI and the acceptance tests are thin wrappers over it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Mapping, Optional
+from typing import Callable, Collection, Iterator, Mapping, Optional
 
 from .complexes import (CubicalMatchingComplex, TilingFace,
                         _edge_decomposition, build_complex)
@@ -73,12 +78,14 @@ class VerificationReport:
 
 
 class Corpus:
-    """Fixture graphs with complexes built on demand and cached."""
+    """Fixture graphs with complexes and their components built on demand
+    and cached."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
         self._graphs: Optional[list[tuple[str, PlanarGraph]]] = None
         self._complexes: dict[str, CubicalMatchingComplex] = {}
+        self._components: dict[str, list[CubicalMatchingComplex]] = {}
 
     def graphs(self) -> list[tuple[str, PlanarGraph]]:
         if self._graphs is None:
@@ -92,6 +99,13 @@ class Corpus:
         if name not in self._complexes:
             self._complexes[name] = build_complex(g)
         return self._complexes[name]
+
+    def components(self, name: str, g: PlanarGraph
+                   ) -> list[CubicalMatchingComplex]:
+        if name not in self._components:
+            self._components[name] = \
+                self.complex(name, g).connected_components()
+        return self._components[name]
 
 
 def _bipartite(adj: Mapping[object, Collection]) -> bool:
@@ -111,193 +125,172 @@ def _bipartite(adj: Mapping[object, Collection]) -> bool:
     return True
 
 
+# -- the runner --------------------------------------------------------------------
+
+Cases = Iterator[Optional[dict]]
+Check = Callable[[Corpus, Bounds], CheckResult]
+
+CHECKS: list[tuple[str, Check]] = []
+
+
+def _check(check_id: str, statement: str
+           ) -> Callable[[Callable[[Corpus, Bounds], Cases]], Check]:
+    """Register a case generator in ``CHECKS`` as the check ``check_id``."""
+    def register(cases: Callable[[Corpus, Bounds], Cases]) -> Check:
+        @functools.wraps(cases)
+        def check(corpus: Corpus, bounds: Bounds) -> CheckResult:
+            checked, witness = 0, None
+            for witness in cases(corpus, bounds):
+                checked += 1
+                if witness is not None:
+                    break
+            return CheckResult(check_id, statement, witness is None, checked,
+                               witness)
+        CHECKS.append((check_id, check))
+        return check
+    return register
+
+
 # -- the checks --------------------------------------------------------------------
 
 
-def check_euler(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("alternating sum of the f-vector equals 1 for every "
-                 "connected fixture complex (and the component count "
-                 "in general)")
-    checked = 0
+@_check("euler", "alternating sum of the f-vector equals 1 for every "
+        "connected fixture complex (and the component count in general)")
+def check_euler(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
-        if not k.faces:
-            continue
-        comps = k.connected_components()
-        checked += 1
-        if k.euler_characteristic() != len(comps):
-            return CheckResult("euler", statement, False, checked,
-                               {"fixture": name,
-                                "f_vector": k.f_vector(),
-                                "components": len(comps)})
-    return CheckResult("euler", statement, True, checked)
+        if k.faces:
+            comps = len(corpus.components(name, g))
+            yield None if k.euler_characteristic() == comps else {
+                "fixture": name, "f_vector": k.f_vector(), "components": comps}
 
 
-def check_recurrences(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("enumerated ladder f-vectors satisfy the two-step "
-                 "recurrences, plain and bumped, inside the validity windows")
+@_check("recurrences", "enumerated ladder f-vectors satisfy the two-step "
+        "recurrences, plain and bumped, inside the validity windows")
+def check_recurrences(corpus: Corpus, bounds: Bounds) -> Cases:
     xp1 = Poly([1, 1])
     # Enumerated f-vectors, not f_polynomial: that is built by the very
     # recurrences checked here.
     fvec = _ladder_f_base
-    checked = 0
     for n in range(0, 7):
-        checked += 1
-        if fvec(n + 2, None) != fvec(n + 1, None) + xp1 * fvec(n, None):
-            return CheckResult("recurrences", statement, False, checked,
-                               {"family": "plain", "n": n})
+        yield None if fvec(n + 2, None) == \
+            fvec(n + 1, None) + xp1 * fvec(n, None) else {
+                "family": "plain", "n": n}
     top = corpus.bounds.max_ladder
     for b in range(1, top - 1):
         for n in range(b, top - 1):
-            checked += 1
-            if fvec(n + 2, b) != fvec(n + 1, b) + xp1 * fvec(n, b):
-                return CheckResult("recurrences", statement, False, checked,
-                                   {"family": "bumped-same", "n": n, "bump": b})
+            yield None if fvec(n + 2, b) == \
+                fvec(n + 1, b) + xp1 * fvec(n, b) else {
+                    "family": "bumped-same", "n": n, "bump": b}
     for b in range(3, top + 1):
         for n in range(b - 2, top - 1):
-            checked += 1
-            if fvec(n + 2, b) != fvec(n + 1, b - 1) + xp1 * fvec(n, b - 2):
-                return CheckResult("recurrences", statement, False, checked,
-                                   {"family": "bumped-shift", "n": n, "bump": b})
-    return CheckResult("recurrences", statement, True, checked)
+            yield None if fvec(n + 2, b) == \
+                fvec(n + 1, b - 1) + xp1 * fvec(n, b - 2) else {
+                    "family": "bumped-shift", "n": n, "bump": b}
 
 
-def check_closed_forms(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("shifted polynomials match the binomial closed form, "
-                 "evaluate to Fibonacci numbers at 1, and count "
-                 "non-consecutive multiset choices coefficient-wise")
-    checked = 0
+@_check("closed-forms", "shifted polynomials match the binomial closed form, "
+        "evaluate to Fibonacci numbers at 1, and count non-consecutive "
+        "multiset choices coefficient-wise")
+def check_closed_forms(corpus: Corpus, bounds: Bounds) -> Cases:
     for n in range(1, bounds.max_n + 1):
-        checked += 1
         p = p_polynomial(n)
         if p != p_closed_form(n):
-            return CheckResult("closed-forms", statement, False, checked,
-                               {"part": "closed-form", "n": n,
-                                "poly": list(p.coeffs)})
-        if p(1) != fibonacci(n + 2):
-            return CheckResult("closed-forms", statement, False, checked,
-                               {"part": "fibonacci", "n": n, "value": p(1)})
+            yield {"part": "closed-form", "n": n, "poly": list(p.coeffs)}
+        else:
+            yield None if p(1) == fibonacci(n + 2) else {
+                "part": "fibonacci", "n": n, "value": p(1)}
     for n in range(1, corpus.bounds.max_ladder + 1):
         for bump in [None] + list(range(1, n + 1)):
             p = p_polynomial(n, bump)
             for k in range(len(p.coeffs)):
-                checked += 1
-                if p[k] != multiset_no_consecutive_count(n, k, bump):
-                    return CheckResult(
-                        "closed-forms", statement, False, checked,
-                        {"part": "multiset", "n": n, "bump": bump, "k": k})
-    return CheckResult("closed-forms", statement, True, checked)
+                yield None if p[k] == multiset_no_consecutive_count(
+                    n, k, bump) else {
+                        "part": "multiset", "n": n, "bump": bump, "k": k}
 
 
-def check_a_map(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("the degree-raising map matches its signed-Catalan closed "
-                 "form, maps ladder polynomials two steps up, satisfies the "
-                 "alternating Catalan identity, and is injective")
-    checked = 0
+@_check("a-map", "the degree-raising map matches its signed-Catalan closed "
+        "form, maps ladder polynomials two steps up, satisfies the "
+        "alternating Catalan identity, and is injective")
+def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
     for d in range(0, 11):
         for k in range(d + 1):
-            checked += 1
-            if apply_A(d, X.shift(k - 1) if k else ONE) != \
-                    a_unit_closed_form(d, k):
-                return CheckResult("a-map", statement, False, checked,
-                                   {"part": "closed-form", "d": d, "k": k})
+            yield None if apply_A(d, X.shift(k - 1) if k else ONE) == \
+                a_unit_closed_form(d, k) else {
+                    "part": "closed-form", "d": d, "k": k}
     for d in range(1, bounds.max_d + 1):
-        checked += 3
-        if apply_A(d, p_raw(2 * d - 1)) != p_raw(2 * d + 1) or \
-           apply_A(d, p_raw(2 * d)) != p_raw(2 * d + 2) or \
-           apply_A(d + 1, p_raw(2 * d)) != p_raw(2 * d + 2):
-            return CheckResult("a-map", statement, False, checked,
-                               {"part": "ladder-step", "d": d})
+        # Each step is one case: A_a maps P_n to P_(n+2).
+        for a, n in ((d, 2 * d - 1), (d, 2 * d), (d + 1, 2 * d)):
+            yield None if apply_A(a, p_raw(n)) == p_raw(n + 2) else {
+                "part": "ladder-step", "d": d}
         for i in range(1, d // 2 + 1):
-            checked += 2
-            if apply_A(d, p_raw(2 * d - 1, i)) != p_raw(2 * d + 1, i) or \
-               apply_A(d, p_raw(2 * d, i)) != p_raw(2 * d + 2, i):
-                return CheckResult("a-map", statement, False, checked,
-                                   {"part": "bumped-step", "d": d, "i": i})
+            for n in (2 * d - 1, 2 * d):
+                yield None if apply_A(d, p_raw(n, i)) == p_raw(n + 2, i) \
+                    else {"part": "bumped-step", "d": d, "i": i}
     for d in range(2, bounds.max_d + 1):
-        checked += 1
         want = (X.shift(d) + X.shift(d - 1)) * (-1) ** (d + 1)
-        if p_raw(2 * d + 1, d) - p_raw(2 * d + 1, d - 1) != want:
-            return CheckResult("a-map", statement, False, checked,
-                               {"part": "adjacent-bump-difference", "d": d})
+        yield None if p_raw(2 * d + 1, d) - p_raw(2 * d + 1, d - 1) == want \
+            else {"part": "adjacent-bump-difference", "d": d}
     for n in range(1, 21):
         for k in range(1, n + 1):
-            checked += 1
             lhs, rhs, equal = catalan_identity_check(n, k)
-            if not equal:
-                return CheckResult("a-map", statement, False, checked,
-                                   {"part": "catalan-identity", "n": n, "k": k,
-                                    "lhs": lhs, "rhs": rhs})
+            yield None if equal else {"part": "catalan-identity", "n": n,
+                                      "k": k, "lhs": lhs, "rhs": rhs}
     for d in range(0, bounds.max_d + 1):
-        checked += 1
         rows = [[a_unit_closed_form(d, k)[j] for j in range(d + 2)]
                 for k in range(d + 1)]
-        if bareiss_rank(rows) != d + 1:
-            return CheckResult("a-map", statement, False, checked,
-                               {"part": "injectivity", "d": d})
-    return CheckResult("a-map", statement, True, checked)
+        yield None if bareiss_rank(rows) == d + 1 else {
+            "part": "injectivity", "d": d}
 
 
-def check_affine(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("the designated ladder polynomials are affinely independent, "
-                 "and corpus f-vectors of dimension-d complexes span an "
-                 "affine space of dimension exactly d")
-    checked = 0
+@_check("affine", "the designated ladder polynomials are affinely "
+        "independent, and corpus f-vectors of dimension-d complexes span an "
+        "affine space of dimension exactly d")
+def check_affine(corpus: Corpus, bounds: Bounds) -> Cases:
     for d in range(2, 7):
-        checked += 1
         polys = [p_raw(2 * d - 1), p_raw(2 * d)]
         polys += [p_raw(2 * d - 1, i) for i in range(1, d)]
-        if affine_rank(polys, d) != d:
-            return CheckResult("affine", statement, False, checked,
-                               {"part": "ladder-family", "d": d})
+        yield None if affine_rank(polys, d) == d else {
+            "part": "ladder-family", "d": d}
     by_dim: dict[int, list[Poly]] = {}
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
-        if not k.faces or len(k.connected_components()) != 1:
-            continue
-        by_dim.setdefault(k.dim, []).append(Poly(k.f_vector()))
+        if len(corpus.components(name, g)) == 1:
+            by_dim.setdefault(k.dim, []).append(Poly(k.f_vector()))
     top = min(4, (bounds.max_ladder + 1) // 2)
     for d in range(0, top + 1):
-        checked += 1
         pts = by_dim.get(d, [])
         if len(pts) <= d:
-            return CheckResult("affine", statement, False, checked,
-                               {"part": "corpus-span", "d": d,
-                                "points": len(pts),
-                                "note": "too few fixtures of this dimension"})
-        if affine_rank(pts, d) != d:
-            return CheckResult("affine", statement, False, checked,
-                               {"part": "corpus-span", "d": d,
-                                "rank": affine_rank(pts, d)})
-    return CheckResult("affine", statement, True, checked)
+            yield {"part": "corpus-span", "d": d, "points": len(pts),
+                   "note": "too few fixtures of this dimension"}
+        else:
+            rank = affine_rank(pts, d)
+            yield None if rank == d else {
+                "part": "corpus-span", "d": d, "rank": rank}
 
 
-def check_links(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("the link of every face is isomorphic to the independence "
-                 "complex of its matched-region graph")
-    checked = 0
+@_check("links", "the link of every face is isomorphic to the independence "
+        "complex of its matched-region graph")
+def check_links(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
         if len(k) > bounds.max_faces:
             continue
         for f in k.faces:
-            checked += 1
             try:
                 link_of_face(k, f, check_model=True)
             except Exception as exc:
-                return CheckResult(
-                    "links", statement, False, checked,
-                    {"fixture": name,
-                     "face": {"matching": [list(e) for e in f.matching],
-                              "cycles": sorted(f.cycles)},
-                     "error": str(exc)})
-    return CheckResult("links", statement, True, checked)
+                yield {"fixture": name,
+                       "face": {"matching": [list(e) for e in f.matching],
+                                "cycles": sorted(f.cycles)},
+                       "error": str(exc)}
+            else:
+                yield None
 
 
-def check_bipartite(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("matched-region graphs of bipartite fixtures are bipartite "
-                 "and their links have at most two connected components")
-    checked = 0
+@_check("bipartite", "matched-region graphs of bipartite fixtures are "
+        "bipartite and their links have at most two connected components")
+def check_bipartite(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
         if not _bipartite(g.adj):
             continue
@@ -305,94 +298,71 @@ def check_bipartite(corpus: Corpus, bounds: Bounds) -> CheckResult:
         if len(k) > bounds.max_faces:
             continue
         for f in k.faces:
-            checked += 1
             h = matched_region_graph(k, f)
             if not _bipartite(h):
-                return CheckResult("bipartite", statement, False, checked,
-                                   {"fixture": name, "part": "bipartite",
-                                    "cycles": sorted(f.cycles)})
-            if h:
-                b0 = z2_betti(independence_complex(h))[0]
-                if b0 > 2:
-                    return CheckResult("bipartite", statement, False, checked,
-                                       {"fixture": name, "part": "b0",
-                                        "b0": b0})
-    return CheckResult("bipartite", statement, True, checked)
+                yield {"fixture": name, "part": "bipartite",
+                       "cycles": sorted(f.cycles)}
+                continue
+            b0 = z2_betti(independence_complex(h))[0] if h else 0
+            yield None if b0 <= 2 else {"fixture": name, "part": "b0",
+                                        "b0": b0}
 
 
-def check_kozlov(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("Z/2 homology of independence complexes of paths and cycles "
-                 "matches the closed-form homotopy types")
-    checked = 0
-    for n in range(1, 13):
-        checked += 1
-        path = {v: {v - 1, v + 1} & set(range(n)) for v in range(n)}
-        got = z2_betti(independence_complex(path))
-        if got != kozlov_reference_betti("L", n):
-            return CheckResult("kozlov", statement, False, checked,
-                               {"family": "L", "n": n, "betti": got})
-    for n in range(3, 13):
-        checked += 1
-        cycle = {v: {(v - 1) % n, (v + 1) % n} for v in range(n)}
-        got = z2_betti(independence_complex(cycle))
-        if got != kozlov_reference_betti("C", n):
-            return CheckResult("kozlov", statement, False, checked,
-                               {"family": "C", "n": n, "betti": got})
-    return CheckResult("kozlov", statement, True, checked)
+@_check("kozlov", "Z/2 homology of independence complexes of paths and "
+        "cycles matches the closed-form homotopy types")
+def check_kozlov(corpus: Corpus, bounds: Bounds) -> Cases:
+    paths = ((n, {v: {v - 1, v + 1} & set(range(n)) for v in range(n)})
+             for n in range(1, 13))
+    cycles = ((n, {v: {(v - 1) % n, (v + 1) % n} for v in range(n)})
+              for n in range(3, 13))
+    for family, graphs in (("L", paths), ("C", cycles)):
+        for n, h in graphs:
+            got = z2_betti(independence_complex(h))
+            yield None if got == kozlov_reference_betti(family, n) else {
+                "family": family, "n": n, "betti": got}
 
 
-def check_counterexample(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("the nested-squares fixture gives two contractible segments, "
-                 "is not collapsible, and satisfies the product identity")
+@_check("counterexample", "the nested-squares fixture gives two contractible "
+        "segments, is not collapsible, and satisfies the product identity")
+def check_counterexample(corpus: Corpus, bounds: Bounds) -> Cases:
     g = figure_counterexample()
     k = build_complex(g)
-    witness = {"f_vector": k.f_vector()}
     comps = k.connected_components()
-    ok = (k.f_vector() == [4, 2] and len(comps) == 2
-          and all(c.f_vector() == [2, 1] for c in comps)
-          and all(z2_betti(c) == (1,) for c in comps)
-          and collapse_search(k).status == "not_collapsible")
     # Product identity: the reduced graph splits into a square that keeps its
     # region and a square whose region is lost to the nesting.
     reduced = build_complex(reduce_graph(g))
     product = Poly([2, 1]) * Poly([2])
-    ok = ok and Poly(k.f_vector()) == product
-    ok = ok and Poly(reduced.f_vector()) == product
-    witness["reduced_f_vector"] = reduced.f_vector()
-    return CheckResult("counterexample", statement, ok, 1,
-                       None if ok else witness)
+    ok = (k.f_vector() == [4, 2] and len(comps) == 2
+          and all(c.f_vector() == [2, 1] for c in comps)
+          and all(z2_betti(c) == (1,) for c in comps)
+          and collapse_search(k).status == "not_collapsible"
+          and Poly(k.f_vector()) == product
+          and Poly(reduced.f_vector()) == product)
+    yield None if ok else {"f_vector": k.f_vector(),
+                           "reduced_f_vector": reduced.f_vector()}
 
 
-def check_contractibility(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("every connected component of every fixture complex has "
-                 "trivial reduced Z/2 homology and collapses to a point")
-    checked = 0
+@_check("contractibility", "every connected component of every fixture "
+        "complex has trivial reduced Z/2 homology and collapses to a point")
+def check_contractibility(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
-        k = corpus.complex(name, g)
-        if not k.faces:
-            continue
-        for comp in k.connected_components():
-            checked += 1
-            if z2_betti(comp) != (1,):
-                return CheckResult("contractibility", statement, False,
-                                   checked, {"fixture": name,
-                                             "betti": z2_betti(comp)})
-            if len(comp) > bounds.max_faces:
-                continue
-            verdict = collapse_search(comp, budget=bounds.budget,
-                                      seed=bounds.seed)
-            if verdict.status != "collapsible":
-                return CheckResult("contractibility", statement, False,
-                                   checked, {"fixture": name,
-                                             "verdict": verdict.status,
-                                             "reason": verdict.reason})
-    return CheckResult("contractibility", statement, True, checked)
+        for comp in corpus.components(name, g):
+            betti = z2_betti(comp)
+            if betti != (1,):
+                yield {"fixture": name, "betti": betti}
+            elif len(comp) > bounds.max_faces:
+                yield None
+            else:
+                verdict = collapse_search(comp, budget=bounds.budget,
+                                          seed=bounds.seed)
+                yield None if verdict.status == "collapsible" else {
+                    "fixture": name, "verdict": verdict.status,
+                    "reason": verdict.reason}
 
 
-def check_decomposition(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("deleting an outer edge decomposes the complex face-count "
-                 "exactly, on every eligible edge of every fixture")
-    checked = 0
+@_check("decomposition", "deleting an outer edge decomposes the complex "
+        "face-count exactly, on every eligible edge of every fixture")
+def check_decomposition(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
         f_g = corpus.complex(name, g).f_vector()
         for e in sorted(g.edges):
@@ -400,19 +370,14 @@ def check_decomposition(corpus: Corpus, bounds: Bounds) -> CheckResult:
                           if e in r.edge_set]
             if len(containing) != 1:
                 continue
-            checked += 1
             report = _edge_decomposition(g, e, containing[0], f_g)
-            if not report["ok"]:
-                return CheckResult("decomposition", statement, False, checked,
-                                   {"fixture": name, "edge": list(e),
-                                    "rows": report["rows"]})
-    return CheckResult("decomposition", statement, True, checked)
+            yield None if report["ok"] else {
+                "fixture": name, "edge": list(e), "rows": report["rows"]}
 
 
-def check_cube(corpus: Corpus, bounds: Bounds) -> CheckResult:
-    statement = ("cube coordinates embed each complex into the cube: "
-                 "injective on vertices, each face a full geometric subcube")
-    checked = 0
+@_check("cube", "cube coordinates embed each complex into the cube: "
+        "injective on vertices, each face a full geometric subcube")
+def check_cube(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
         if len(g.regions) > bounds.max_regions:
             continue
@@ -421,24 +386,23 @@ def check_cube(corpus: Corpus, bounds: Bounds) -> CheckResult:
         if not verts:
             continue
         coords = cube_coordinates(g, verts[0].matching)
-        checked += 1
         if len(set(coords.values())) != len(coords):
-            return CheckResult("cube", statement, False, checked,
-                               {"fixture": name, "part": "injectivity"})
-        for f, below in _vertices_below(k).items():
-            if f.dim == 0:
-                continue
-            free = sorted(f.cycles)
-            outside = [i for i in range(len(g.regions)) if i not in f.cycles]
-            pins = {tuple(coords[m][i] for i in outside) for m in below}
-            patterns = {tuple(coords[m][i] for i in free) for m in below}
-            if (len(below) != 2 ** f.dim or len(pins) != 1
-                    or len(patterns) != 2 ** f.dim):
-                return CheckResult("cube", statement, False, checked,
-                                   {"fixture": name, "part": "subcube",
-                                    "cycles": free,
-                                    "vertices_below": len(below)})
-    return CheckResult("cube", statement, True, checked)
+            yield {"fixture": name, "part": "injectivity"}
+            continue
+        yield next(({"fixture": name, "part": "subcube",
+                     "cycles": sorted(f.cycles), "vertices_below": len(below)}
+                    for f, below in _vertices_below(k).items()
+                    if f.dim and not _is_subcube(f, below, coords)), None)
+
+
+def _is_subcube(f: TilingFace, below: set[Matching],
+                coords: Mapping[Matching, tuple[int, ...]]) -> bool:
+    """Whether the vertices below f are the 2**dim corners of one subcube:
+    pinned outside f's regions and taking every pattern on them."""
+    pins = {tuple(x for i, x in enumerate(coords[m]) if i not in f.cycles)
+            for m in below}
+    patterns = {tuple(coords[m][i] for i in sorted(f.cycles)) for m in below}
+    return len(below) == len(patterns) == 2 ** f.dim and len(pins) == 1
 
 
 def _vertices_below(k: CubicalMatchingComplex
@@ -451,22 +415,6 @@ def _vertices_below(k: CubicalMatchingComplex
         below[f] = set().union(*(below[sub] for sub in k.facets_of(f)
                                  if sub in k)) if f.dim else {f.matching}
     return below
-
-
-CHECKS: list[tuple[str, Callable[[Corpus, Bounds], CheckResult]]] = [
-    ("euler", check_euler),
-    ("recurrences", check_recurrences),
-    ("closed-forms", check_closed_forms),
-    ("a-map", check_a_map),
-    ("affine", check_affine),
-    ("links", check_links),
-    ("bipartite", check_bipartite),
-    ("kozlov", check_kozlov),
-    ("counterexample", check_counterexample),
-    ("contractibility", check_contractibility),
-    ("decomposition", check_decomposition),
-    ("cube", check_cube),
-]
 
 
 def run_verification(scope: str = "all",

@@ -134,6 +134,21 @@ def test_vacuous_bounds_fail(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "P", "7", "--seed", "1"],
+    ["poly", "P", "7", "--budget", "5"],
+    ["fixtures", "list", "--seed", "1"],
+    ["fixtures", "list", "--budget", "5"],
+    ["fixtures", "list", "--format", "json"],
+], ids=["poly-seed", "poly-budget", "fixtures-seed", "fixtures-budget",
+        "fixtures-format"])
+def test_options_no_command_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_smallest_bounds_run(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-d", "1",
                        "--budget", "0", "--scope", "closed")

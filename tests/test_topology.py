@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,24 @@ class TestIndependenceComplex:
         h = make(n)
         sets = {v: set(h[v]) for v in h}
         assert independence_complex(sets) == independence_complex(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 2)))
+                            if n > 1 else st.nothing()))))
+    def test_facets_match_every_independent_set(self, graph):
+        # The facets are enumerated directly; the reference lists every
+        # independent set and keeps those in no larger one.
+        n, edges = graph
+        h = {v: set() for v in range(n)}
+        for u, v in edges:
+            h[u].add(v)
+            h[v].add(u)
+        independent = [set(s) for size in range(1, n + 1)
+                       for s in combinations(range(n), size)
+                       if all(b not in h[a] for a, b in combinations(s, 2))]
+        assert (independence_complex(h)
+                == SimplicialComplex.from_faces(independent))
 
 
 class TestMatchedRegionGraph:

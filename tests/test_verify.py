@@ -1,11 +1,17 @@
+import ast
+import inspect
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilings.verify import (Bounds, Corpus, _bipartite, check_counterexample,
-                            check_cube, check_euler, check_kozlov,
-                            run_verification)
+from tilings import verify
+from tilings.complexes import CubicalMatchingComplex
+from tilings.verify import (CHECKS, Bounds, CheckResult, Corpus, _bipartite,
+                            check_counterexample, check_cube, check_euler,
+                            check_kozlov, run_verification)
 
 SMALL = Bounds(max_ladder=3, max_cells=4, random_count=2)
 
@@ -48,6 +54,35 @@ def test_fault_injection_produces_witness():
     result = check_cube(corpus, SMALL)
     assert not result.passed
     assert result.witness == {"fixture": "ladder-1", "part": "injectivity"}
+    # ladder-1 is the sixth fixture, and the cases up to the failing one
+    # count.
+    assert result.checked == 6
+
+
+def test_corrupted_complex_fails_euler():
+    # Drop the square of ladder-3 from its cached complex: the f-vector
+    # [5, 5, 1] becomes [5, 5], one component with Euler characteristic 0.
+    corpus = Corpus(SMALL)
+    name, g = next((n, g) for n, g in corpus.graphs() if n == "ladder-3")
+    k = corpus.complex(name, g)
+    corpus._complexes[name] = CubicalMatchingComplex(g, k.faces[:-1])
+    result = check_euler(corpus, SMALL)
+    assert not result.passed
+    assert result.witness == {"fixture": "ladder-3", "f_vector": [5, 5],
+                              "components": 1}
+    assert result.checked == 11
+
+
+def test_corpus_computes_components_once(monkeypatch):
+    calls = []
+    original = CubicalMatchingComplex.connected_components
+    monkeypatch.setattr(CubicalMatchingComplex, "connected_components",
+                        lambda k: calls.append(k) or original(k))
+    corpus = Corpus(SMALL)
+    checks = dict(CHECKS)
+    for check_id in ("euler", "affine", "contractibility"):
+        assert checks[check_id](corpus, SMALL).passed
+    assert len(calls) == len(corpus.graphs())
 
 
 def test_checks_report_case_counts():
@@ -55,6 +90,34 @@ def test_checks_report_case_counts():
     assert check_kozlov(corpus, SMALL).checked == 22
     assert check_counterexample(corpus, SMALL).checked == 1
     assert check_cube(corpus, SMALL).checked > 0
+
+
+def _check_result_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "CheckResult" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+
+
+def test_only_the_runner_builds_check_results():
+    package = Path(verify.__file__).parent
+    calls = {path.name: len(_check_result_calls(ast.parse(path.read_text())))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: n for name, n in calls.items() if n} == {"verify.py": 1}
+    tree = ast.parse(Path(verify.__file__).read_text())
+    runner = next(fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_check")
+    assert len(_check_result_calls(runner)) == 1
+
+
+def test_checks_are_plain_functions_returning_their_results():
+    corpus = Corpus(SMALL)
+    assert len(CHECKS) == 12
+    for check_id, fn in CHECKS:
+        assert isinstance(check_id, str)
+        assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn)
+        result = fn(corpus, SMALL)
+        assert isinstance(result, CheckResult)
+        assert result.check_id == check_id
 
 
 @st.composite
