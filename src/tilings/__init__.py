@@ -2,13 +2,13 @@
 graphs, with the associated Fibonacci/Catalan polynomial calculus."""
 
 from .complexes import (CubicalMatchingComplex, TilingFace, build_complex,
-                        face_leq, verify_edge_decomposition)
+                        count_f_vector, face_leq, verify_edge_decomposition)
 from .fibpoly import (Poly, a_unit_closed_form, affine_rank, apply_A,
                       bareiss_rank, catalan, catalan_identity_check,
                       f_polynomial, fibonacci, multiset_no_consecutive_count,
                       p_closed_form, p_polynomial)
-from .matchings import (CycleDecomposition, Matching, cube_coordinates,
-                        enumerate_perfect_matchings,
+from .matchings import (CycleDecomposition, Matching, count_tilings,
+                        cube_coordinates, enumerate_perfect_matchings,
                         symmetric_difference_cycles)
 from .planar import (DualGraph, Edge, EdgeClassification, GraphError,
                      PlanarGraph, Region, build_from_polyomino, build_ladder,
@@ -26,7 +26,8 @@ __all__ = [
     "a_unit_closed_form", "affine_rank", "apply_A", "bareiss_rank",
     "build_complex", "build_from_polyomino", "build_ladder",
     "build_planar_graph", "catalan", "catalan_identity_check",
-    "classify_edges", "collapse_search", "cube_coordinates", "edge_key",
+    "classify_edges", "collapse_search", "count_f_vector", "count_tilings",
+    "cube_coordinates", "edge_key",
     "enumerate_perfect_matchings", "f_polynomial", "face_leq", "fibonacci",
     "independence_complex", "kozlov_reference_betti", "link_of_face",
     "load_graph_json", "matched_region_graph",

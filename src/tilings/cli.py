@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``complex`` (invariants of one graph), ``poly`` (polynomial
+Subcommands: ``complex`` (invariants of one graph), ``count`` (its f-vector
+and Euler characteristic, counted with no face built), ``poly`` (polynomial
 calculus), ``verify`` (the full check suite), ``fixtures list|dump``.
 Output is byte-stable for fixed inputs and seeds.  The environment variable
 ``TILINGS_FIXTURE_DIR`` points fixture lookup at a directory of JSON graph
@@ -15,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .complexes import build_complex
+from .complexes import build_complex, count_f_vector
 from .fibpoly import apply_A, f_polynomial, p_closed_form, p_polynomial, ONE, X
 from .fixtures import core_fixture_names, named_fixture
 from .matchings import cube_coordinates
@@ -64,16 +65,22 @@ def resolve_graph(name: str) -> PlanarGraph:
         raise GraphError(f"no such file or fixture: {name!r}")
 
 
+def _counts(g: PlanarGraph, f_vector: list[int]) -> dict:
+    """The keys that ``complex`` and ``count`` share."""
+    return {
+        "graph": {"vertices": len(g.lattice), "edges": len(g.edges),
+                  "regions": len(g.regions)},
+        "f_vector": f_vector,
+        "euler_characteristic": sum((-1) ** i * c
+                                    for i, c in enumerate(f_vector)),
+    }
+
+
 def cmd_complex(args) -> int:
     g = resolve_graph(args.input)
     k = build_complex(g)
-    payload: dict = {
-        "graph": {"vertices": len(g.lattice), "edges": len(g.edges),
-                  "regions": len(g.regions)},
-        "f_vector": k.f_vector(),
-        "euler_characteristic": k.euler_characteristic(),
-        "components": len(k.connected_components()) if k.faces else 0,
-    }
+    payload = _counts(g, k.f_vector())
+    payload["components"] = len(k.connected_components()) if k.faces else 0
     if args.betti:
         payload["z2_betti"] = list(z2_betti(k)) if k.faces else []
     if args.collapse:
@@ -88,6 +95,12 @@ def cmd_complex(args) -> int:
             {"matching": [list(e) for e in m], "x": list(x)}
             for m, x in sorted(coords.items())]
     _emit(payload, args.format)
+    return 0
+
+
+def cmd_count(args) -> int:
+    g = resolve_graph(args.input)
+    _emit(_counts(g, count_f_vector(g)), args.format)
     return 0
 
 
@@ -176,6 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     output(p)
     search(p)
     p.set_defaults(func=cmd_complex)
+
+    p = sub.add_parser("count", help="f-vector of one graph, no faces built")
+    p.add_argument("input", help="fixture name, graph .json, or polyomino file")
+    output(p)
+    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("poly", help="polynomial calculus")
     p.add_argument("kind", help="F | P | A | closed")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .matchings import Matching, matchings_of_adjacency
+from .matchings import Matching, count_tilings, matchings_of_adjacency
 from .planar import Edge, GraphError, PlanarGraph, edge_key
 
 
@@ -138,15 +138,24 @@ def _release(f: TilingFace, r: int, pair: tuple[frozenset[Edge], ...]
             for alt in pair]
 
 
+def _even_regions(g: PlanarGraph) -> list[tuple[int, tuple[int, ...]]]:
+    return [(i, r.cycle) for i, r in enumerate(g.regions)
+            if r.parity == "even"]
+
+
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
     from the one search of :func:`matchings_of_adjacency`."""
-    even = [(i, r.cycle) for i, r in enumerate(g.regions)
-            if r.parity == "even"]
     return CubicalMatchingComplex(g, sorted(
-        (TilingFace(m, s)
-         for m, s in matchings_of_adjacency(g.vertex_ids, g.adj, even)),
+        (TilingFace(m, s) for m, s in
+         matchings_of_adjacency(g.vertex_ids, g.adj, _even_regions(g))),
         key=TilingFace.sort_key))
+
+
+def count_f_vector(g: PlanarGraph) -> list[int]:
+    """The f-vector of C(g), ``build_complex(g).f_vector()``, counted by
+    :func:`count_tilings` with no face built."""
+    return count_tilings(g.vertex_ids, g.adj, _even_regions(g))
 
 
 def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:
@@ -164,22 +173,22 @@ def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:
         raise GraphError(f"edge {e} borders the outer region on both sides")
     if len(containing) > 1:
         raise GraphError(f"edge {e} does not lie on the outer region")
-    f_g = build_complex(g).f_vector()
-    return _edge_decomposition(g, e, containing[0], f_g)
+    return _edge_decomposition(g, e, containing[0], count_f_vector(g))
 
 
 def _edge_decomposition(g: PlanarGraph, e: Edge, r: int,
                         f_g: list[int]) -> dict:
     """The report of :func:`verify_edge_decomposition` for an edge e of g
     on the outer region that lies in region r only, given the f-vector of
-    C(G), so a caller checking many edges of one graph builds it once."""
+    C(G), so a caller checking many edges of one graph finds it once.  The
+    terms are counted, not enumerated."""
     parity = g.regions[r].parity
-    f_xy = build_complex(g.subgraph(remove_vertices=e)).f_vector()
-    f_e = build_complex(g.subgraph(remove_edges=[e])).f_vector()
+    f_xy = count_f_vector(g.subgraph(remove_vertices=e))
+    f_e = count_f_vector(g.subgraph(remove_edges=[e]))
     terms = {"without_endpoints": f_xy, "without_edge": f_e}
     if parity == "even":
-        f_r = build_complex(
-            g.subgraph(remove_vertices=g.regions[r].vertex_set)).f_vector()
+        f_r = count_f_vector(
+            g.subgraph(remove_vertices=g.regions[r].vertex_set))
         terms["without_region_shifted"] = f_r
 
     def at(vec: list[int], i: int) -> int:

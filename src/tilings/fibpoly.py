@@ -114,13 +114,13 @@ def catalan(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ladder_f_base(n: int, bump: Optional[int]) -> Poly:
-    """f-polynomial of a small ladder complex by brute-force enumeration."""
-    from .complexes import build_complex
+    """f-polynomial of a small ladder complex, counted by the tiling search."""
+    from .complexes import count_f_vector
     from .planar import build_ladder
 
     if n == 0:
         return ONE
-    return Poly(build_complex(build_ladder(n, bump=bump)).f_vector())
+    return Poly(count_f_vector(build_ladder(n, bump=bump)))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
-"""Tiling and perfect matching enumeration, and the cube-coordinate
-embedding."""
+"""Tiling and perfect matching enumeration and counting, and the
+cube-coordinate embedding."""
 
 from __future__ import annotations
 
@@ -59,11 +59,7 @@ def matchings_of_adjacency(
     # Edges and even regions each cover an even number of vertices.
     if len(vertices) % 2 == 1:
         return []
-    order = sorted(vertices)
-    starting: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for label, vs in regions:
-        vs = sorted(vs)
-        starting.setdefault(vs[0], []).append((label, tuple(vs[1:])))
+    order, starting = _search_plan(vertices, regions)
     covered: set[int] = set()
     edges: list[Edge] = []
     out: list[tuple[Matching, frozenset[int]]] = []
@@ -98,6 +94,75 @@ def matchings_of_adjacency(
     # Break the cycle search -> closure -> search, which would keep every
     # tiling found alive until the next full garbage collection.
     del search
+    return out
+
+
+_Starting = dict[int, list[tuple[int, tuple[int, ...]]]]
+
+
+def _search_plan(vertices: Sequence[int],
+                 regions: Iterable[tuple[int, Iterable[int]]]
+                 ) -> tuple[list[int], _Starting]:
+    """The vertex order of the tiling search, and the even regions by their
+    lowest vertex as (label, the other vertices in order): a region can
+    cover the lowest uncovered vertex only if that is its lowest vertex."""
+    starting: _Starting = {}
+    for label, vs in regions:
+        vs = sorted(vs)
+        starting.setdefault(vs[0], []).append((label, tuple(vs[1:])))
+    return sorted(vertices), starting
+
+
+def count_tilings(vertices: Sequence[int],
+                  adj: Mapping[int, Sequence[int]],
+                  regions: Iterable[tuple[int, Iterable[int]]] = ()
+                  ) -> list[int]:
+    """The f-vector of the tilings of :func:`matchings_of_adjacency`: entry
+    i is the number of tilings with i regions, trailing zeros trimmed, and
+    ``[]`` when there is no tiling.  No tiling is built.
+
+    The search makes the same moves, run forward over the vertex order:
+    before index i every vertex is covered, so a state is the set of covered
+    vertices from i on, as a bitmask whose bit j is vertex ``order[i + j]``.
+    Searches that reach one state have the same completions, so they are
+    merged and their counts by number of regions added.  On the cells of a
+    polyomino in row-major order this is the broken-profile transfer matrix.
+    """
+    if len(vertices) % 2 == 1:
+        return []
+    order, starting = _search_plan(vertices, regions)
+    pos = {v: i for i, v in enumerate(order)}
+    states: dict[int, list[int]] = {0: [1]}
+    for i, v in enumerate(order):
+        # The moves at v: an edge to a later neighbour, or a region, which
+        # adds one to the number of regions.
+        moves = [(1 << (pos[u] - i), False) for u in adj[v] if pos[u] > i]
+        moves += [(sum(1 << (pos[u] - i) for u in rest), True)
+                  for _, rest in starting.get(v, ())]
+        nxt: dict[int, list[int]] = {}
+        for mask, counts in states.items():
+            if mask & 1:
+                key = mask >> 1
+                old = nxt.get(key)
+                nxt[key] = counts if old is None else _add(old, counts)
+                continue
+            for b, region in moves:
+                if not mask & b:
+                    key = (mask | b) >> 1
+                    add = [0] + counts if region else counts
+                    old = nxt.get(key)
+                    nxt[key] = add if old is None else _add(old, add)
+        states = nxt
+    return states.get(0, [])
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """Coefficient-wise sum of two count lists, as a new list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for j, c in enumerate(b):
+        out[j] += c
     return out
 
 

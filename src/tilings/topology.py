@@ -109,11 +109,17 @@ def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
     link = SimplicialComplex(frozenset(r for s in facets for r in s),
                              frozenset(facets))
     if check_model:
-        model = independence_complex(matched_region_graph(k, f))
-        if link.vertices != model.vertices or link.facets != model.facets:
-            raise GraphError(
-                f"link of {f} differs from the independence-complex model")
+        _certify_link(f, link,
+                      independence_complex(matched_region_graph(k, f)))
     return link
+
+
+def _certify_link(f: TilingFace, link: SimplicialComplex,
+                  model: SimplicialComplex) -> None:
+    """Raise unless the link of f equals its independence-complex model."""
+    if link.vertices != model.vertices or link.facets != model.facets:
+        raise GraphError(
+            f"link of {f} differs from the independence-complex model")
 
 
 # -- Z/2 homology -----------------------------------------------------------------

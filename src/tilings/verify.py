@@ -26,7 +26,7 @@ from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
 from .fixtures import figure_counterexample, iter_fixture_graphs
 from .matchings import Matching, cube_coordinates
 from .planar import PlanarGraph, reduce_graph
-from .topology import (collapse_search, independence_complex,
+from .topology import (_certify_link, collapse_search, independence_complex,
                        kozlov_reference_betti, link_of_face,
                        matched_region_graph, z2_betti)
 
@@ -77,15 +77,29 @@ class VerificationReport:
                 "summary": self.summary()}
 
 
+class LinkModel:
+    """Ind(H) for a matched-region graph H, the model of a link, with the
+    number of its connected components (0 for an empty H) found once when
+    first read."""
+
+    def __init__(self, h: Mapping[int, Collection[int]]):
+        self.complex = independence_complex(h)
+
+    @functools.cached_property
+    def b0(self) -> int:
+        return z2_betti(self.complex)[0] if self.complex.vertices else 0
+
+
 class Corpus:
-    """Fixture graphs with complexes and their components built on demand
-    and cached."""
+    """Fixture graphs with complexes, their components and the link models
+    of their faces built on demand and cached for the run."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
         self._graphs: Optional[list[tuple[str, PlanarGraph]]] = None
         self._complexes: dict[str, CubicalMatchingComplex] = {}
         self._components: dict[str, list[CubicalMatchingComplex]] = {}
+        self._link_models: dict[frozenset, LinkModel] = {}
 
     def graphs(self) -> list[tuple[str, PlanarGraph]]:
         if self._graphs is None:
@@ -106,6 +120,14 @@ class Corpus:
             self._components[name] = \
                 self.complex(name, g).connected_components()
         return self._components[name]
+
+    def link_model(self, h: Mapping[int, Collection[int]]) -> LinkModel:
+        """The link model of a face whose matched-region graph is h, shared
+        by every face whose graph has the same labelled adjacency."""
+        key = frozenset((r, frozenset(nbrs)) for r, nbrs in h.items())
+        if key not in self._link_models:
+            self._link_models[key] = LinkModel(h)
+        return self._link_models[key]
 
 
 def _bipartite(adj: Mapping[object, Collection]) -> bool:
@@ -169,8 +191,8 @@ def check_euler(corpus: Corpus, bounds: Bounds) -> Cases:
         "recurrences, plain and bumped, inside the validity windows")
 def check_recurrences(corpus: Corpus, bounds: Bounds) -> Cases:
     xp1 = Poly([1, 1])
-    # Enumerated f-vectors, not f_polynomial: that is built by the very
-    # recurrences checked here.
+    # f-vectors counted from the tilings, not f_polynomial: that is built
+    # by the very recurrences checked here.
     fvec = _ladder_f_base
     for n in range(0, 7):
         yield None if fvec(n + 2, None) == \
@@ -278,7 +300,9 @@ def check_links(corpus: Corpus, bounds: Bounds) -> Cases:
             continue
         for f in k.faces:
             try:
-                link_of_face(k, f, check_model=True)
+                _certify_link(f, link_of_face(k, f, check_model=False),
+                              corpus.link_model(
+                                  matched_region_graph(k, f)).complex)
             except Exception as exc:
                 yield {"fixture": name,
                        "face": {"matching": [list(e) for e in f.matching],
@@ -303,7 +327,7 @@ def check_bipartite(corpus: Corpus, bounds: Bounds) -> Cases:
                 yield {"fixture": name, "part": "bipartite",
                        "cycles": sorted(f.cycles)}
                 continue
-            b0 = z2_betti(independence_complex(h))[0] if h else 0
+            b0 = corpus.link_model(h).b0
             yield None if b0 <= 2 else {"fixture": name, "part": "b0",
                                         "b0": b0}
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tilings import verify
 from tilings.complexes import CubicalMatchingComplex
+from tilings.topology import independence_complex, matched_region_graph
 from tilings.verify import (CHECKS, Bounds, CheckResult, Corpus, _bipartite,
                             check_counterexample, check_cube, check_euler,
                             check_kozlov, run_verification)
@@ -134,3 +135,35 @@ def random_graphs(draw):
 @given(random_graphs())
 def test_two_colouring_matches_networkx(h):
     assert _bipartite({v: set(h[v]) for v in h}) == nx.is_bipartite(h)
+
+
+def test_corpus_builds_each_link_model_once(monkeypatch):
+    calls = []
+    original = verify.independence_complex
+    monkeypatch.setattr(verify, "independence_complex",
+                        lambda h: calls.append(h) or original(h))
+    corpus = Corpus(SMALL)
+    checks = dict(CHECKS)
+    links = checks["links"](corpus, SMALL)
+    bipartite = checks["bipartite"](corpus, SMALL)
+    assert links.passed and bipartite.passed
+    assert len(calls) == len(corpus._link_models) < links.checked
+    keys = {frozenset((r, frozenset(nbrs)) for r, nbrs in h.items())
+            for h in calls}
+    assert len(keys) == len(calls)
+
+
+def test_corrupted_link_model_fails_links():
+    corpus = Corpus(SMALL)
+    name, g = corpus.graphs()[0]
+    k = corpus.complex(name, g)
+    f = k.faces[0]
+    corpus.link_model(matched_region_graph(k, f)).complex = \
+        independence_complex({99: set()})
+    result = dict(CHECKS)["links"](corpus, SMALL)
+    assert not result.passed and result.checked == 1
+    assert result.witness == {
+        "fixture": name,
+        "face": {"matching": [list(e) for e in f.matching],
+                 "cycles": sorted(f.cycles)},
+        "error": f"link of {f} differs from the independence-complex model"}
