@@ -48,21 +48,29 @@ def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
     return not extra
 
 
+FaceKey = tuple[frozenset[Edge], frozenset[int]]
+
+
 class CubicalMatchingComplex:
     """Faces of the cubical complex of ``graph``, in the order given:
     :func:`build_complex` sorts them by :meth:`TilingFace.sort_key`, so by
-    dimension first, and components keep that order."""
+    dimension first, and components keep that order.
+
+    ``_index`` maps the key of each face, its (matching edges, cycles) pair,
+    to its position, so a face can be looked up from its edges and cycles
+    without a ``TilingFace`` built for it."""
 
     def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace]):
         self.graph = graph
         self.faces: tuple[TilingFace, ...] = tuple(faces)
-        self._index = {f: i for i, f in enumerate(self.faces)}
+        self._index: dict[FaceKey, int] = {
+            (f.matching.edges, f.cycles): i for i, f in enumerate(self.faces)}
 
     def __len__(self) -> int:
         return len(self.faces)
 
     def __contains__(self, f: TilingFace) -> bool:
-        return f in self._index
+        return (f.matching.edges, f.cycles) in self._index
 
     @property
     def dim(self) -> int:
@@ -73,18 +81,15 @@ class CubicalMatchingComplex:
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
         """The 2*dim faces covered by f: every region of f released."""
-        regions = self.graph.regions
-        return [sub for r in sorted(f.cycles)
-                for sub in _release(f, r, regions[r].alternations)]
+        return [TilingFace(Matching(edges), cycles)
+                for edges, cycles in self.facet_keys(f)]
 
-    def cofacets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The faces of the complex that cover f: each region whose boundary
-        alternation lies in f's matching flipped out of it."""
-        edges = f.matching.edges
-        ups = (TilingFace(Matching(edges - alt), f.cycles | {r})
-               for r, region in enumerate(self.graph.regions)
-               for alt in region.alternations if alt <= edges)
-        return [up for up in ups if up in self._index]
+    def facet_keys(self, f: TilingFace) -> list[FaceKey]:
+        """The keys of :meth:`facets_of`, with no face built: region r of f
+        released into each of its boundary alternations, r in order."""
+        regions = self.graph.regions
+        return [(f.matching.edges | alt, f.cycles - {r})
+                for r in sorted(f.cycles) for alt in regions[r].alternations]
 
     def f_vector(self) -> list[int]:
         if not self.faces:
@@ -112,11 +117,13 @@ class CubicalMatchingComplex:
         # down, so every face reaches a vertex, and each edge joins its two
         # vertices: that is all the connectivity of the complex.
         regions = self.graph.regions
+        index = self._index
         for i, f in enumerate(self.faces):
             if f.cycles:
                 r = min(f.cycles)
-                for sub in _release(f, r, regions[r].alternations):
-                    parent[find(i)] = find(self._index[sub])
+                for alt in regions[r].alternations:
+                    parent[find(i)] = find(
+                        index[f.matching.edges | alt, f.cycles - {r}])
         # Each component keeps the order of the faces, and the components
         # come in the order of their first faces.
         groups: dict[int, list[TilingFace]] = {}
@@ -128,14 +135,6 @@ class CubicalMatchingComplex:
     def serialize(self) -> list[dict]:
         return [{"matching": [list(e) for e in f.matching.sorted_edges()],
                  "cycles": sorted(f.cycles)} for f in self.faces]
-
-
-def _release(f: TilingFace, r: int, pair: tuple[frozenset[Edge], ...]
-             ) -> list[TilingFace]:
-    """The two facets of f that flip region r, whose boundary alternations
-    are ``pair``, back into the matching."""
-    return [TilingFace(Matching(f.matching.edges | alt), f.cycles - {r})
-            for alt in pair]
 
 
 def _even_regions(g: PlanarGraph) -> list[tuple[int, tuple[int, ...]]]:

@@ -116,27 +116,15 @@ def canonical_form(cells: frozenset[Cell]) -> frozenset[Cell]:
 
 
 def is_simply_connected(cells: frozenset[Cell]) -> bool:
-    """No holes: the complement inside an enlarged bounding box is connected
-    to the outside."""
-    rs = [r for r, _ in cells]
-    cs = [c for _, c in cells]
-    lo_r, hi_r = min(rs) - 1, max(rs) + 1
-    lo_c, hi_c = min(cs) - 1, max(cs) + 1
-    start = (lo_r, lo_c)
-    seen = {start}
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            nr, nc = nb
-            if not (lo_r <= nr <= hi_r and lo_c <= nc <= hi_c):
-                continue
-            if nb in cells or nb in seen:
-                continue
-            seen.add(nb)
-            stack.append(nb)
-    box = (hi_r - lo_r + 1) * (hi_c - lo_c + 1)
-    return len(seen) == box - len(cells)
+    """No holes, for edge-connected cells: the closed union of the unit
+    squares has Euler characteristic V - E + F = 1.  A connected plane
+    union of squares has Euler characteristic 1 minus its number of holes,
+    a hole counting even where it meets the outside at a corner only."""
+    corners = {(r + dr, c + dc) for r, c in cells
+               for dr in (0, 1) for dc in (0, 1)}
+    across = {(r + dr, c) for r, c in cells for dr in (0, 1)}
+    down = {(r, c + dc) for r, c in cells for dc in (0, 1)}
+    return len(corners) - len(across) - len(down) + len(cells) == 1
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ they are then validated against the drawing.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,7 +359,7 @@ def build_planar_graph(spec: Mapping) -> PlanarGraph:
             vid = _vertex_id(v["id"])
             if vid in vertices:
                 raise GraphError(f"duplicate vertex id {vid}")
-            vertices[vid] = (Fraction(str(v["x"])), Fraction(str(v["y"])))
+            vertices[vid] = (_coordinate(v["x"]), _coordinate(v["y"]))
         edges = [tuple(map(_vertex_id, e)) for e in spec["edges"]]
         regions = spec.get("regions")
         if regions is not None:
@@ -366,6 +367,22 @@ def build_planar_graph(spec: Mapping) -> PlanarGraph:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GraphError(f"malformed graph description: {exc}") from exc
     return PlanarGraph(vertices, edges, regions=regions)
+
+
+# A coordinate written with exponent e is read by building 10**e, so a long
+# exponent makes an unbounded run; no drawing needs one above this bound.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
+
+
+def _coordinate(x) -> Fraction:
+    text = str(x)
+    exp = _EXPONENT.search(text)
+    if exp and (len(exp.group(1)) > len(str(_MAX_EXPONENT))
+                or int(exp.group(1)) > _MAX_EXPONENT):
+        raise GraphError(f"coordinate {text[:24]!r} has an exponent above "
+                         f"{_MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def _vertex_id(x) -> int:

@@ -86,26 +86,34 @@ def matched_region_graph(k: CubicalMatchingComplex,
 
 def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
                  check_model: bool = True) -> SimplicialComplex:
-    """Link of a face, read from the faces above it: each co-face c
-    contributes the regions it adds, c.cycles - f.cycles.  The co-faces are
-    the upward closure of f under the cover relation, and the facets of the
-    link come from those with no cover.
+    """Link of a face f = (M, S), read from the faces above it.  A co-face
+    is fixed by the set T of regions it adds: its matching is M without the
+    alternations of T's regions, which lie in M.  The walk goes up one
+    region at a time from T = {}, keeping each state's matching edges:
+    T + {r} covers T when an alternation of r lies in those edges and the
+    flipped pair is a face of k.  The reached sets T with no cover are the
+    facets of the link.  Only k's index of faces is read; no face is built.
 
     The result is certified against the independence complex of the matched
     region graph; a mismatch is an invariant violation and raises.
     """
     if f not in k:
         raise GraphError("face does not belong to the complex")
-    seen, stack, facets = {f}, [f], []
+    index = k._index
+    matched = [(r, alt) for r, region in enumerate(k.graph.regions)
+               for alt in region.alternations if alt <= f.matching.edges]
+    seen, stack, facets = {frozenset()}, [(frozenset(), f.matching.edges)], []
     while stack:
-        c = stack.pop()
-        ups = k.cofacets_of(c)
-        if not ups and c is not f:
-            facets.append(c.cycles - f.cycles)
-        for up in ups:
-            if up not in seen:
-                seen.add(up)
-                stack.append(up)
+        t, edges = stack.pop()
+        covered = False
+        for r, alt in matched:
+            if alt <= edges and (edges - alt, f.cycles | t | {r}) in index:
+                covered, up = True, t | {r}
+                if up not in seen:
+                    seen.add(up)
+                    stack.append((up, edges - alt))
+        if not covered and t:
+            facets.append(t)
     link = SimplicialComplex(frozenset(r for s in facets for r in s),
                              frozenset(facets))
     if check_model:
@@ -148,7 +156,7 @@ def _cells_and_boundaries(
         facets = [[index[f - {v}] for v in f if len(f) > 1] for f in cells]
         return cells, [len(f) - 1 for f in cells], facets
     cells = list(c.faces)
-    facets = [[c._index[sub] for sub in c.facets_of(f)] for f in cells]
+    facets = [[c._index[key] for key in c.facet_keys(f)] for f in cells]
     return cells, [f.dim for f in cells], facets
 
 

@@ -78,12 +78,13 @@ class VerificationReport:
 
 
 class LinkModel:
-    """Ind(H) for a matched-region graph H, the model of a link, with the
-    number of its connected components (0 for an empty H) found once when
-    first read."""
+    """Ind(H) for a matched-region graph H, the model of a link, with
+    whether H is bipartite, and the number of connected components of
+    Ind(H) (0 for an empty H), found once when first read."""
 
     def __init__(self, h: Mapping[int, Collection[int]]):
         self.complex = independence_complex(h)
+        self.bipartite = _bipartite(h)
 
     @functools.cached_property
     def b0(self) -> int:
@@ -99,6 +100,7 @@ class Corpus:
         self._graphs: Optional[list[tuple[str, PlanarGraph]]] = None
         self._complexes: dict[str, CubicalMatchingComplex] = {}
         self._components: dict[str, list[CubicalMatchingComplex]] = {}
+        self._face_models: dict[str, list[LinkModel]] = {}
         self._link_models: dict[frozenset, LinkModel] = {}
 
     def graphs(self) -> list[tuple[str, PlanarGraph]]:
@@ -120,6 +122,15 @@ class Corpus:
             self._components[name] = \
                 self.complex(name, g).connected_components()
         return self._components[name]
+
+    def link_models(self, name: str, g: PlanarGraph) -> list[LinkModel]:
+        """The link model of each face of the complex, in face order, each
+        face's matched-region graph built and looked up once per run."""
+        if name not in self._face_models:
+            k = self.complex(name, g)
+            self._face_models[name] = [
+                self.link_model(matched_region_graph(k, f)) for f in k.faces]
+        return self._face_models[name]
 
     def link_model(self, h: Mapping[int, Collection[int]]) -> LinkModel:
         """The link model of a face whose matched-region graph is h, shared
@@ -298,11 +309,10 @@ def check_links(corpus: Corpus, bounds: Bounds) -> Cases:
         k = corpus.complex(name, g)
         if len(k) > bounds.max_faces:
             continue
-        for f in k.faces:
+        for f, model in zip(k.faces, corpus.link_models(name, g)):
             try:
                 _certify_link(f, link_of_face(k, f, check_model=False),
-                              corpus.link_model(
-                                  matched_region_graph(k, f)).complex)
+                              model.complex)
             except Exception as exc:
                 yield {"fixture": name,
                        "face": {"matching": [list(e) for e in f.matching],
@@ -321,15 +331,13 @@ def check_bipartite(corpus: Corpus, bounds: Bounds) -> Cases:
         k = corpus.complex(name, g)
         if len(k) > bounds.max_faces:
             continue
-        for f in k.faces:
-            h = matched_region_graph(k, f)
-            if not _bipartite(h):
+        for f, model in zip(k.faces, corpus.link_models(name, g)):
+            if not model.bipartite:
                 yield {"fixture": name, "part": "bipartite",
                        "cycles": sorted(f.cycles)}
                 continue
-            b0 = corpus.link_model(h).b0
-            yield None if b0 <= 2 else {"fixture": name, "part": "b0",
-                                        "b0": b0}
+            yield None if model.b0 <= 2 else {"fixture": name, "part": "b0",
+                                              "b0": model.b0}
 
 
 @_check("kozlov", "Z/2 homology of independence complexes of paths and "
@@ -434,11 +442,13 @@ def _vertices_below(k: CubicalMatchingComplex
     """The matchings of the vertices below each face: a vertex has its own,
     and a face those of its facets in k, which come before it in k's order
     of dimension, so its regions are released one at a time."""
-    below: dict[TilingFace, set[Matching]] = {}
+    below: list[set[Matching]] = []
+    index = k._index
     for f in k.faces:
-        below[f] = set().union(*(below[sub] for sub in k.facets_of(f)
-                                 if sub in k)) if f.dim else {f.matching}
-    return below
+        below.append(set().union(*(below[index[key]]
+                                   for key in k.facet_keys(f) if key in index))
+                     if f.dim else {f.matching})
+    return dict(zip(k.faces, below))
 
 
 def run_verification(scope: str = "all",

@@ -2,8 +2,8 @@
 
 ``face_leq`` compares two faces directly; it is the reference order.  The
 package reads the order from region releases instead: ``facets_of`` going
-down, ``cofacets_of`` going up, links as the upward closure of a face, and
-the vertices below a face through its facets.  Each is compared here with a
+down, links as the region sets flipped out of a face going up, and the
+vertices below a face through its facets.  Each is compared here with a
 scan over every pair of faces.
 """
 
@@ -73,8 +73,6 @@ def assert_order_matches_scan(g):
         want_link = SimplicialComplex.from_faces(
             c.cycles - f.cycles for c in above[f])
         assert link_of_face(k, f, check_model=False) == want_link
-        assert (sorted(k.cofacets_of(f), key=TilingFace.sort_key)
-                == [c for c in above[f] if c.dim == f.dim + 1])
         assert below[f] == {v.matching for v in k.vertices()
                             if v == f or f in above[v]}
 

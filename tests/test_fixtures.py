@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilings.complexes import build_complex
@@ -9,7 +9,7 @@ from tilings.fixtures import (_has_perfect_matching, canonical_form,
                               is_simply_connected,
                               iter_fixture_graphs, named_fixture,
                               polyomino_zoo, random_quad_glued)
-from tilings.planar import graph_from_cells
+from tilings.planar import cells_connected, graph_from_cells
 
 
 def test_figure_fixture_shapes():
@@ -114,7 +114,75 @@ def test_simply_connected_detects_hole():
     ring = frozenset((r, c) for r in range(3) for c in range(3)
                      if (r, c) != (1, 1))
     assert not is_simply_connected(ring)
+    assert not is_simply_connected(ring - {(0, 0)})
     assert is_simply_connected(frozenset({(0, 0), (0, 1)}))
+
+
+def search_simply_connected(cells):
+    """The hole test the Euler count replaced: the complement inside an
+    enlarged bounding box is connected to the outside, by breadth-first
+    search over edge-neighbours."""
+    rs = [r for r, _ in cells]
+    cs = [c for _, c in cells]
+    lo_r, hi_r = min(rs) - 1, max(rs) + 1
+    lo_c, hi_c = min(cs) - 1, max(cs) + 1
+    start = (lo_r, lo_c)
+    seen = {start}
+    stack = [start]
+    while stack:
+        r, c = stack.pop()
+        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            nr, nc = nb
+            if not (lo_r <= nr <= hi_r and lo_c <= nc <= hi_c):
+                continue
+            if nb in cells or nb in seen:
+                continue
+            seen.add(nb)
+            stack.append(nb)
+    box = (hi_r - lo_r + 1) * (hi_c - lo_c + 1)
+    return len(seen) == box - len(cells)
+
+
+BOX = [(r, c) for r in range(5) for c in range(5)]
+
+
+@st.composite
+def edge_connected_in_box(draw):
+    """The edge-neighbour component of one cell of the 5x5 box with some
+    cells taken out: it can wind round holes, and a hole can meet the
+    outside at a corner only."""
+    cells = set(BOX) - draw(st.sets(st.sampled_from(BOX), max_size=15))
+    start = draw(st.sampled_from(sorted(cells)))
+    seen, stack = {start}, [start]
+    while stack:
+        r, c = stack.pop()
+        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return frozenset(seen)
+
+
+RING = frozenset(BOX) - {(r, c) for r in range(1, 4) for c in range(1, 4)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_connected_in_box())
+@example(RING)
+@example(RING | {(2, 1), (2, 2)})
+@example(RING - {(0, 0)})
+@example(RING - {(0, 2)})
+@example(frozenset(BOX) - {(1, 1), (2, 2), (3, 3), (1, 3)})
+def test_euler_count_matches_search(cells):
+    assert cells_connected(set(cells))
+    assert is_simply_connected(cells) == search_simply_connected(cells)
+
+
+def test_euler_count_matches_search_on_free_polyominoes():
+    shapes = [cells for n in range(1, 11) for cells in free_polyominoes(n)]
+    assert len(shapes) == 6473
+    assert [is_simply_connected(cells) for cells in shapes] == \
+        [search_simply_connected(cells) for cells in shapes]
 
 
 def test_zoo_members_are_tileable_and_even():

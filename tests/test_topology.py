@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilings.complexes import build_complex, face_leq
+from test_count import NoFaces
+from tilings import complexes, topology
+from tilings.complexes import CubicalMatchingComplex, build_complex, face_leq
 from tilings.fixtures import figure_counterexample, triangular_prism
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
                             build_ladder)
@@ -135,6 +137,42 @@ class TestLink:
             k = build_complex(g)
             for f in k.faces:
                 link_of_face(k, f)  # raises on model mismatch
+
+    def test_walk_builds_no_faces(self, monkeypatch):
+        # The walk reads the complex's index and builds no face: the link
+        # must not become a second face enumeration checked against itself.
+        ks = [build_complex(g) for g in
+              [build_ladder(4), figure_counterexample(), triangular_prism(),
+               build_ladder(3, bump=2), build_from_polyomino("###\n###\n##.")]]
+        want = [[link_of_face(k, f, check_model=False) for f in k.faces]
+                for k in ks]
+        monkeypatch.setattr(complexes, "TilingFace", NoFaces)
+        monkeypatch.setattr(topology, "TilingFace", NoFaces)
+        with pytest.raises(AssertionError, match="TilingFace"):
+            ks[0].facets_of(ks[0].faces[-1])
+        assert [[link_of_face(k, f, check_model=False) for f in k.faces]
+                for k in ks] == want
+
+    @pytest.mark.parametrize("build", [lambda: build_ladder(3),
+                                       triangular_prism,
+                                       lambda: build_ladder(3, bump=2)])
+    def test_certification_fails_without_a_face(self, build):
+        # Drop a face of dimension >= 1 with nothing above it: for each face
+        # it covers, the regions it adds are a facet of Ind(H) that the walk
+        # no longer finds.
+        g = build()
+        k = build_complex(g)
+        tops = [c for c in k.faces if c.dim >= 1 and
+                not any(c.cycles < d.cycles and face_leq(c, d, g)
+                        for d in k.faces)]
+        assert tops
+        for top in tops:
+            dropped = CubicalMatchingComplex(
+                g, [f for f in k.faces if f != top])
+            for f in k.facets_of(top):
+                link_of_face(k, f)
+                with pytest.raises(GraphError, match="differs"):
+                    link_of_face(dropped, f)
 
 
 class TestBetti:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilings import verify
-from tilings.complexes import CubicalMatchingComplex
+from tilings.complexes import (CubicalMatchingComplex, build_complex,
+                               face_leq)
+from tilings.planar import build_ladder
 from tilings.topology import independence_complex, matched_region_graph
 from tilings.verify import (CHECKS, Bounds, CheckResult, Corpus, _bipartite,
                             check_counterexample, check_cube, check_euler,
@@ -167,3 +169,24 @@ def test_corrupted_link_model_fails_links():
         "face": {"matching": [list(e) for e in f.matching],
                  "cycles": sorted(f.cycles)},
         "error": f"link of {f} differs from the independence-complex model"}
+
+
+def test_links_fail_on_a_complex_without_a_face():
+    # The 2x4 block without its one 2-dimensional face: the first face
+    # whose link misses it is reported, and it lies below the dropped face.
+    g = build_ladder(3)
+    k = build_complex(g)
+    top = k.faces[-1]
+    assert top.dim == 2
+    corpus = Corpus(SMALL)
+    corpus._graphs = [("ladder-3", g)]
+    corpus._complexes["ladder-3"] = CubicalMatchingComplex(g, k.faces[:-1])
+    result = dict(CHECKS)["links"](corpus, SMALL)
+    assert not result.passed
+    below = [{"matching": [list(e) for e in f.matching],
+              "cycles": sorted(f.cycles)}
+             for f in k.faces if f != top and face_leq(f, top, g)]
+    assert result.witness["fixture"] == "ladder-3"
+    assert result.witness["face"] in below
+    assert "differs from the independence-complex model" in \
+        result.witness["error"]
