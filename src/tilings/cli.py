@@ -89,11 +89,11 @@ def cmd_complex(args) -> int:
                                "reason": verdict.reason}
     if args.cube:
         # The vertices of the complex are the perfect matchings, in order.
-        verts = k.vertices()
-        coords = cube_coordinates(g, verts[0].matching) if verts else {}
+        verts = [v.matching for v in k.vertices()]
+        coords = cube_coordinates(g, verts[0]) if verts else {}
         payload["cube_coordinates"] = [
-            {"matching": [list(e) for e in m], "x": list(x)}
-            for m, x in sorted(coords.items())]
+            {"matching": [list(e) for e in m], "x": list(coords[m])}
+            for m in verts]
     _emit(payload, args.format)
     return 0
 

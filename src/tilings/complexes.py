@@ -8,15 +8,15 @@ enumeration doubles as the correctness oracle for everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .matchings import Matching, count_tilings, matchings_of_adjacency
 from .planar import Edge, GraphError, PlanarGraph, edge_key
 
 
-@dataclass(frozen=True)
-class TilingFace:
+class TilingFace(NamedTuple):
+    """A tiling (M, S): equal to, and hashing like, (M's edge set, S)."""
+
     matching: Matching
     cycles: frozenset[int]
 
@@ -37,9 +37,9 @@ def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
     M_F while pairing vertices across two regions of C_F, which is not a
     flip combination; the graph rules those out.
     """
-    if not (f1.cycles <= f2.cycles and f1.matching.edges >= f2.matching.edges):
+    if not (f1.cycles <= f2.cycles and f1.matching >= f2.matching):
         return False
-    extra = f1.matching.edges - f2.matching.edges
+    extra = f1.matching - f2.matching
     for r in f2.cycles - f1.cycles:
         here = extra & g.regions[r].edge_set
         if here not in g.regions[r].alternations:
@@ -48,29 +48,28 @@ def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
     return not extra
 
 
-FaceKey = tuple[frozenset[Edge], frozenset[int]]
-
-
 class CubicalMatchingComplex:
     """Faces of the cubical complex of ``graph``, in the order given:
     :func:`build_complex` sorts them by :meth:`TilingFace.sort_key`, so by
     dimension first, and components keep that order.
 
-    ``_index`` maps the key of each face, its (matching edges, cycles) pair,
-    to its position, so a face can be looked up from its edges and cycles
-    without a ``TilingFace`` built for it."""
+    ``_index`` maps each face to its position; a face equals its (edge set,
+    cycles) pair, so that pair finds it with no ``TilingFace`` built."""
 
     def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace]):
         self.graph = graph
         self.faces: tuple[TilingFace, ...] = tuple(faces)
-        self._index: dict[FaceKey, int] = {
-            (f.matching.edges, f.cycles): i for i, f in enumerate(self.faces)}
+        self._index = {f: i for i, f in enumerate(self.faces)}
 
     def __len__(self) -> int:
         return len(self.faces)
 
     def __contains__(self, f: TilingFace) -> bool:
-        return (f.matching.edges, f.cycles) in self._index
+        return f in self._index
+
+    def position(self, f: TilingFace) -> int:
+        """The index of face f in :attr:`faces`."""
+        return self._index[f]
 
     @property
     def dim(self) -> int:
@@ -80,25 +79,16 @@ class CubicalMatchingComplex:
         return [f for f in self.faces if f.dim == 0]
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The 2*dim faces covered by f: every region of f released."""
-        return [TilingFace(Matching(edges), cycles)
-                for edges, cycles in self.facet_keys(f)]
-
-    def facet_keys(self, f: TilingFace) -> list[FaceKey]:
-        """The keys of :meth:`facets_of`, with no face built: region r of f
-        released into each of its boundary alternations, r in order."""
+        """The 2*dim faces covered by f: region r of f released into each of
+        its boundary alternations, r in order."""
         regions = self.graph.regions
-        return [(f.matching.edges | alt, f.cycles - {r})
+        return [TilingFace(Matching(f.matching | alt), f.cycles - {r})
                 for r in sorted(f.cycles) for alt in regions[r].alternations]
 
     def f_vector(self) -> list[int]:
-        if not self.faces:
-            return []
         counts = [0] * (self.dim + 1)
         for f in self.faces:
             counts[f.dim] += 1
-        while counts and counts[-1] == 0:
-            counts.pop()
         return counts
 
     def euler_characteristic(self) -> int:
@@ -116,19 +106,20 @@ class CubicalMatchingComplex:
         # Releasing one region joins each face to two faces a dimension
         # down, so every face reaches a vertex, and each edge joins its two
         # vertices: that is all the connectivity of the complex.
-        regions = self.graph.regions
-        index = self._index
+        regions, index = self.graph.regions, self._index
         for i, f in enumerate(self.faces):
             if f.cycles:
                 r = min(f.cycles)
                 for alt in regions[r].alternations:
                     parent[find(i)] = find(
-                        index[f.matching.edges | alt, f.cycles - {r}])
+                        index[f.matching | alt, f.cycles - {r}])
         # Each component keeps the order of the faces, and the components
         # come in the order of their first faces.
         groups: dict[int, list[TilingFace]] = {}
         for i, f in enumerate(self.faces):
             groups.setdefault(find(i), []).append(f)
+        if len(groups) == 1:
+            return [self]
         return [CubicalMatchingComplex(self.graph, fs)
                 for fs in groups.values()]
 

@@ -10,19 +10,30 @@ from .geometry import common_lattice, interior_point, point_in_polygon
 from .planar import Edge, GraphError, PlanarGraph
 
 
-@dataclass(frozen=True, order=True)
-class Matching:
-    edges: frozenset[Edge]
+class Matching(frozenset):
+    """A matching is its set of edges: it hashes and compares as that
+    frozenset, and iterates over the edges in sorted order."""
+
+    __slots__ = ()
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return self
 
     @property
     def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
+        return frozenset(v for e in frozenset.__iter__(self) for v in e)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return sorted(frozenset.__iter__(self))
 
     def __iter__(self):
         return iter(self.sorted_edges())
+
+    def __repr__(self) -> str:
+        # The edge set's repr: its edges in the set's own order, not sorted.
+        edges = "{" + ", ".join(map(repr, frozenset.__iter__(self))) + "}"
+        return f"Matching(edges=frozenset({edges if self else ''}))"
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ def matchings_of_adjacency(
         while i < len(order) and order[i] in covered:
             i += 1
         if i == len(order):
-            out.append((Matching(frozenset(edges)), used))
+            out.append((Matching(edges), used))
             return
         v = order[i]
         covered.add(v)
@@ -171,7 +182,7 @@ def symmetric_difference_cycles(m1: Matching, m2: Matching) -> CycleDecompositio
     same graph into its vertex-disjoint alternating cycles."""
     if m1.covered != m2.covered:
         raise GraphError("matchings cover different vertex sets")
-    diff = m1.edges ^ m2.edges
+    diff = m1 ^ m2
     nbr: dict[int, list[int]] = {}
     for u, v in diff:
         nbr.setdefault(u, []).append(v)

@@ -489,7 +489,7 @@ def classify_edges(g: PlanarGraph) -> EdgeClassification:
         return EdgeClassification({e: "forbidden" for e in g.edges}, False)
     count: dict[Edge, int] = {e: 0 for e in g.edges}
     for m in matchings:
-        for e in m.edges:
+        for e in m:
             count[e] += 1
     total = len(matchings)
     status = {}

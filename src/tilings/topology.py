@@ -78,7 +78,7 @@ def matched_region_graph(k: CubicalMatchingComplex,
         raise GraphError("face does not belong to the complex")
     regions = k.graph.regions
     matched = [r for r, region in enumerate(regions)
-               if any(alt <= f.matching.edges for alt in region.alternations)]
+               if any(alt <= f.matching for alt in region.alternations)]
     return {a: {b for b in matched if b != a and not
                 regions[a].edge_set.isdisjoint(regions[b].edge_set)}
             for a in matched}
@@ -92,22 +92,21 @@ def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
     region at a time from T = {}, keeping each state's matching edges:
     T + {r} covers T when an alternation of r lies in those edges and the
     flipped pair is a face of k.  The reached sets T with no cover are the
-    facets of the link.  Only k's index of faces is read; no face is built.
+    facets of the link.  Flipped pairs are looked up in k; no face is built.
 
     The result is certified against the independence complex of the matched
     region graph; a mismatch is an invariant violation and raises.
     """
     if f not in k:
         raise GraphError("face does not belong to the complex")
-    index = k._index
     matched = [(r, alt) for r, region in enumerate(k.graph.regions)
-               for alt in region.alternations if alt <= f.matching.edges]
-    seen, stack, facets = {frozenset()}, [(frozenset(), f.matching.edges)], []
+               for alt in region.alternations if alt <= f.matching]
+    seen, stack, facets = {frozenset()}, [(frozenset(), f.matching)], []
     while stack:
         t, edges = stack.pop()
         covered = False
         for r, alt in matched:
-            if alt <= edges and (edges - alt, f.cycles | t | {r}) in index:
+            if alt <= edges and (edges - alt, f.cycles | t | {r}) in k:
                 covered, up = True, t | {r}
                 if up not in seen:
                     seen.add(up)
@@ -156,7 +155,7 @@ def _cells_and_boundaries(
         facets = [[index[f - {v}] for v in f if len(f) > 1] for f in cells]
         return cells, [len(f) - 1 for f in cells], facets
     cells = list(c.faces)
-    facets = [[c._index[key] for key in c.facet_keys(f)] for f in cells]
+    facets = [[c.position(g) for g in c.facets_of(f)] for f in cells]
     return cells, [f.dim for f in cells], facets
 
 

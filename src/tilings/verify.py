@@ -442,13 +442,11 @@ def _vertices_below(k: CubicalMatchingComplex
     """The matchings of the vertices below each face: a vertex has its own,
     and a face those of its facets in k, which come before it in k's order
     of dimension, so its regions are released one at a time."""
-    below: list[set[Matching]] = []
-    index = k._index
+    below: dict[TilingFace, set[Matching]] = {}
     for f in k.faces:
-        below.append(set().union(*(below[index[key]]
-                                   for key in k.facet_keys(f) if key in index))
-                     if f.dim else {f.matching})
-    return dict(zip(k.faces, below))
+        below[f] = set().union(*(below[g] for g in k.facets_of(f)
+                                 if g in below)) if f.dim else {f.matching}
+    return below
 
 
 def run_verification(scope: str = "all",

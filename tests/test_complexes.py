@@ -120,6 +120,40 @@ class TestComponents:
         for g in [c4(), triangular_prism(), build_ladder(5)]:
             assert len(build_complex(g).connected_components()) == 1
 
+    def test_connected_complex_is_its_own_component(self):
+        k = build_complex(build_ladder(4))
+        [comp] = k.connected_components()
+        assert comp is k
+
+    def test_figure2_components_are_new_complexes(self):
+        k = build_complex(figure_counterexample())
+        comps = k.connected_components()
+        assert len(comps) == 2 and all(c is not k for c in comps)
+        # Each keeps its own faces in k's order, and finds only those.
+        assert sorted((f for c in comps for f in c.faces),
+                      key=TilingFace.sort_key) == list(k.faces)
+        for c in comps:
+            assert [f for f in k.faces if f in c] == list(c.faces)
+            assert [c.position(f) for f in c.faces] == list(range(len(c)))
+
+
+class TestFaceRepr:
+    def test_repr_of_a_g1_face(self):
+        # The repr shows the edge set in its own (unsorted) order, as the
+        # link certificate's message prints it.
+        f = build_complex(figure_g1()).faces[0]
+        assert repr(f) == (
+            "TilingFace(matching=Matching(edges=frozenset({(0, 1), (4, 9), "
+            "(2, 3), (5, 6), (7, 8)})), cycles=frozenset())")
+
+    def test_empty_matching_repr(self):
+        assert repr(Matching()) == "Matching(edges=frozenset())"
+
+    def test_matchings_iterate_in_sorted_order(self):
+        for f in build_complex(figure_g1()).faces:
+            assert list(f.matching) == f.matching.sorted_edges()
+            assert f.matching.edges is f.matching
+
 
 class TestEdgeDecomposition:
     @pytest.mark.parametrize("n", range(1, 7))

@@ -88,6 +88,41 @@ def test_order_matches_scan_on_figures(build):
     assert_order_matches_scan(build())
 
 
+# -- a face is its own key --------------------------------------------------------
+
+
+def assert_faces_are_keys(k):
+    regions = k.graph.regions
+    for i, f in enumerate(k.faces):
+        pair = (frozenset(f.matching), f.cycles)
+        assert pair in k and k.position(pair) == i
+        assert pair == f and hash(pair) == hash(f)
+        facets = k.facets_of(f)
+        assert all(g in k and k.position(g) < i for g in facets)
+        # The facet formula: each region released into each alternation.
+        assert facets == [(f.matching.edges | alt, f.cycles - {r})
+                          for r in sorted(f.cycles)
+                          for alt in regions[r].alternations]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyominoes())
+def test_faces_are_keys_on_polyominoes(cells):
+    assert_faces_are_keys(build_complex(graph_from_cells(set(cells))))
+
+
+@pytest.mark.parametrize("build", FIGURES)
+def test_faces_are_keys_on_figures(build):
+    assert_faces_are_keys(build_complex(build()))
+
+
+def test_only_complexes_reads_the_index():
+    package = Path(tilings.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if references(ast.parse(path.read_text()), "_index"))
+    assert readers == ["complexes.py"]
+
+
 # -- regions carry their alternations ------------------------------------------
 
 
