@@ -8,7 +8,7 @@ enumeration doubles as the correctness oracle for everything downstream.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .matchings import Matching, count_tilings, matchings_of_adjacency
 from .planar import Edge, GraphError, PlanarGraph, edge_key
@@ -50,8 +50,9 @@ def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
 
 class CubicalMatchingComplex:
     """Faces of the cubical complex of ``graph``, in the order given:
-    :func:`build_complex` sorts them by :meth:`TilingFace.sort_key`, so by
-    dimension first, and components keep that order.
+    :func:`build_complex` gives them in the order of
+    :meth:`TilingFace.sort_key`, so by dimension first, and components keep
+    that order.
 
     ``_index`` maps each face to its position; a face equals its (edge set,
     cycles) pair, so that pair finds it with no ``TilingFace`` built."""
@@ -79,11 +80,15 @@ class CubicalMatchingComplex:
         return [f for f in self.faces if f.dim == 0]
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The 2*dim faces covered by f: region r of f released into each of
-        its boundary alternations, r in order."""
-        regions = self.graph.regions
-        return [TilingFace(Matching(f.matching | alt), f.cycles - {r})
-                for r in sorted(f.cycles) for alt in regions[r].alternations]
+        """The 2*dim faces covered by f, as stored in this complex: region r
+        of f released into each of its boundary alternations, r in order."""
+        regions, faces, index = self.graph.regions, self.faces, self._index
+        out = []
+        for r in sorted(f.cycles):
+            rest = f.cycles - {r}
+            out += [faces[index[f.matching | alt, rest]]
+                    for alt in regions[r].alternations]
+        return out
 
     def f_vector(self) -> list[int]:
         counts = [0] * (self.dim + 1)
@@ -95,7 +100,16 @@ class CubicalMatchingComplex:
         return sum((-1) ** i * c for i, c in enumerate(self.f_vector()))
 
     def connected_components(self) -> list["CubicalMatchingComplex"]:
-        parent = list(range(len(self.faces)))
+        """The components, each keeping the order of the faces, in the order
+        of their first faces; a connected complex is its own component.
+
+        Each face is a cube, so it lies in the component of every vertex
+        below it: the components are those of the 1-skeleton, found by a
+        union-find over the vertices, keyed by matching."""
+        regions = self.graph.regions
+        vertex = {f.matching: i for i, f in
+                  enumerate(f for f in self.faces if not f.cycles)}
+        parent = list(range(len(vertex)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -103,23 +117,25 @@ class CubicalMatchingComplex:
                 i = parent[i]
             return i
 
-        # Releasing one region joins each face to two faces a dimension
-        # down, so every face reaches a vertex, and each edge joins its two
-        # vertices: that is all the connectivity of the complex.
-        regions, index = self.graph.regions, self._index
-        for i, f in enumerate(self.faces):
-            if f.cycles:
-                r = min(f.cycles)
-                for alt in regions[r].alternations:
-                    parent[find(i)] = find(
-                        index[f.matching | alt, f.cycles - {r}])
-        # Each component keeps the order of the faces, and the components
-        # come in the order of their first faces.
-        groups: dict[int, list[TilingFace]] = {}
-        for i, f in enumerate(self.faces):
-            groups.setdefault(find(i), []).append(f)
-        if len(groups) == 1:
+        # Each 1-face joins the two vertices that release its region.
+        count = len(parent)
+        for f in self.faces:
+            if len(f.cycles) == 1:
+                [r] = f.cycles
+                a, b = (find(vertex[f.matching | alt])
+                        for alt in regions[r].alternations)
+                if a != b:
+                    parent[a] = b
+                    count -= 1
+        if count == 1:
             return [self]
+        # A face reaches a vertex by releasing each of its regions into its
+        # first alternation.
+        groups: dict[int, list[TilingFace]] = {}
+        for f in self.faces:
+            m = f.matching.union(
+                *(regions[r].alternations[0] for r in f.cycles))
+            groups.setdefault(find(vertex[m]), []).append(f)
         return [CubicalMatchingComplex(self.graph, fs)
                 for fs in groups.values()]
 
@@ -135,11 +151,18 @@ def _even_regions(g: PlanarGraph) -> list[tuple[int, tuple[int, ...]]]:
 
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
-    from the one search of :func:`matchings_of_adjacency`."""
-    return CubicalMatchingComplex(g, sorted(
-        (TilingFace(m, s) for m, s in
-         matchings_of_adjacency(g.vertex_ids, g.adj, _even_regions(g))),
-        key=TilingFace.sort_key))
+    from the one search of :func:`matchings_of_adjacency`, in the order of
+    :meth:`TilingFace.sort_key`.
+
+    The search yields the tilings of each region set S in order of their
+    sorted edge lists, since g keeps its adjacency lists sorted; so the
+    faces are grouped by S and only the distinct sets are sorted."""
+    groups: dict[frozenset[int], list[TilingFace]] = {}
+    for m, s in matchings_of_adjacency(g.vertex_ids, g.adj, _even_regions(g)):
+        groups.setdefault(s, []).append(TilingFace(m, s))
+    return CubicalMatchingComplex(g, [
+        f for s in sorted(groups, key=lambda s: (len(s), sorted(s)))
+        for f in groups[s]])
 
 
 def count_f_vector(g: PlanarGraph) -> list[int]:
@@ -171,14 +194,13 @@ def _edge_decomposition(g: PlanarGraph, e: Edge, r: int,
     """The report of :func:`verify_edge_decomposition` for an edge e of g
     on the outer region that lies in region r only, given the f-vector of
     C(G), so a caller checking many edges of one graph finds it once.  The
-    terms are counted, not enumerated."""
+    terms are counted, not enumerated, and no sub-embedding is derived."""
     parity = g.regions[r].parity
-    f_xy = count_f_vector(g.subgraph(remove_vertices=e))
-    f_e = count_f_vector(g.subgraph(remove_edges=[e]))
+    f_xy = _count_without(g, frozenset(e))
+    f_e = _count_without(g, frozenset(), e)
     terms = {"without_endpoints": f_xy, "without_edge": f_e}
     if parity == "even":
-        f_r = count_f_vector(
-            g.subgraph(remove_vertices=g.regions[r].vertex_set))
+        f_r = _count_without(g, g.regions[r].vertex_set)
         terms["without_region_shifted"] = f_r
 
     def at(vec: list[int], i: int) -> int:
@@ -205,3 +227,18 @@ def _edge_decomposition(g: PlanarGraph, e: Edge, r: int,
         "rows": rows,
         "ok": ok,
     }
+
+
+def _count_without(g: PlanarGraph, vertices: frozenset[int],
+                   edge: Optional[Edge] = None) -> list[int]:
+    """``count_f_vector(g.subgraph(remove_vertices=vertices,
+    remove_edges=[edge]))``, read from g itself: the subgraph's adjacency is
+    g's filtered, and its regions are those of g whose boundary survives."""
+    adj = {v: [u for u in nbrs if u not in vertices
+               and edge_key(v, u) != edge]
+           for v, nbrs in g.adj.items() if v not in vertices}
+    return count_tilings(
+        list(adj), adj,
+        [(i, r.cycle) for i, r in enumerate(g.regions)
+         if r.parity == "even" and vertices.isdisjoint(r.vertex_set)
+         and edge not in r.edge_set])

@@ -63,43 +63,39 @@ def matchings_of_adjacency(
     covers it either by an edge to an uncovered neighbour or by a region
     whose lowest vertex is v and whose vertices are all uncovered, so each
     tiling is found exactly once.  Edges are tried before regions, in the
-    order of ``adj``; with sorted lists, as a PlanarGraph keeps them, the
-    tilings without regions come out in lexicographic order of their sorted
-    edge lists.
+    order of ``adj``.  With sorted lists, as a PlanarGraph keeps them, the
+    tilings that share one region set S come out in lexicographic order of
+    their sorted edge lists: where two of them first differ, both cover the
+    same vertex v, and by an edge, since a region covering v would be in S
+    for both.
+
+    The covered vertices are the bits of one int, bit i standing for the
+    i-th vertex of the search order; the moves come from :func:`_search_plan`.
     """
     # Edges and even regions each cover an even number of vertices.
     if len(vertices) % 2 == 1:
         return []
-    order, starting = _search_plan(vertices, regions)
-    covered: set[int] = set()
+    moves = _search_plan(vertices, adj, regions)
+    full = (1 << len(moves)) - 1
     edges: list[Edge] = []
     out: list[tuple[Matching, frozenset[int]]] = []
 
     # ``used`` is shared by every tiling found below one choice of regions.
-    def search(i: int, used: frozenset[int]) -> None:
-        while i < len(order) and order[i] in covered:
-            i += 1
-        if i == len(order):
+    def search(covered: int, used: frozenset[int]) -> None:
+        if covered == full:
             out.append((Matching(edges), used))
             return
-        v = order[i]
-        covered.add(v)
-        for u in adj[v]:
-            if u in covered:
-                continue
-            covered.add(u)
-            # Every vertex below v is covered, so v < u.
-            edges.append((v, u))
-            search(i + 1, used)
-            edges.pop()
-            covered.discard(u)
-        for label, rest in starting.get(v, ()):
-            if not covered.isdisjoint(rest):
-                continue
-            covered.update(rest)
-            search(i + 1, used | {label})
-            covered.difference_update(rest)
-        covered.discard(v)
+        # The lowest uncovered vertex: the lowest zero bit of ``covered``.
+        edge_moves, region_moves = moves[(~covered & (covered + 1))
+                                         .bit_length() - 1]
+        for b, e in edge_moves:
+            if not covered & b:
+                edges.append(e)
+                search(covered | b, used)
+                edges.pop()
+        for b, label in region_moves:
+            if not covered & b:
+                search(covered | b, used | {label})
 
     search(0, frozenset())
     # Break the cycle search -> closure -> search, which would keep every
@@ -108,20 +104,30 @@ def matchings_of_adjacency(
     return out
 
 
-_Starting = dict[int, list[tuple[int, tuple[int, ...]]]]
+_Moves = list[tuple[list[tuple[int, Edge]], list[tuple[int, int]]]]
 
 
 def _search_plan(vertices: Sequence[int],
-                 regions: Iterable[tuple[int, Iterable[int]]]
-                 ) -> tuple[list[int], _Starting]:
-    """The vertex order of the tiling search, and the even regions by their
-    lowest vertex as (label, the other vertices in order): a region can
-    cover the lowest uncovered vertex only if that is its lowest vertex."""
-    starting: _Starting = {}
+                 adj: Mapping[int, Sequence[int]],
+                 regions: Iterable[tuple[int, Iterable[int]]]) -> _Moves:
+    """The moves of the tiling search at each index i of its vertex order,
+    the sorted vertices, when ``order[i]`` is the lowest uncovered vertex.
+
+    Every vertex before i is covered then, so the moves are the edges to
+    later neighbours, as (mask, edge) pairs in the order of ``adj``, and the
+    regions whose lowest vertex is ``order[i]``, as (mask, label) pairs.  A
+    mask has bit j set for each vertex ``order[j]`` the move covers, bit i
+    included.
+    """
+    order = sorted(vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    moves: _Moves = [
+        ([((1 << i) | (1 << pos[u]), (v, u)) for u in adj[v] if pos[u] > i],
+         []) for i, v in enumerate(order)]
     for label, vs in regions:
-        vs = sorted(vs)
-        starting.setdefault(vs[0], []).append((label, tuple(vs[1:])))
-    return sorted(vertices), starting
+        vs = [pos[v] for v in vs]
+        moves[min(vs)][1].append((sum(1 << j for j in vs), label))
+    return moves
 
 
 def count_tilings(vertices: Sequence[int],
@@ -141,15 +147,13 @@ def count_tilings(vertices: Sequence[int],
     """
     if len(vertices) % 2 == 1:
         return []
-    order, starting = _search_plan(vertices, regions)
-    pos = {v: i for i, v in enumerate(order)}
     states: dict[int, list[int]] = {0: [1]}
-    for i, v in enumerate(order):
-        # The moves at v: an edge to a later neighbour, or a region, which
-        # adds one to the number of regions.
-        moves = [(1 << (pos[u] - i), False) for u in adj[v] if pos[u] > i]
-        moves += [(sum(1 << (pos[u] - i) for u in rest), True)
-                  for _, rest in starting.get(v, ())]
+    for i, (edge_moves, region_moves) in enumerate(
+            _search_plan(vertices, adj, regions)):
+        # The moves at index i, shifted to the state's frame; a region adds
+        # one to the number of regions.
+        moves = ([(b >> i, False) for b, _ in edge_moves]
+                 + [(b >> i, True) for b, _ in region_moves])
         nxt: dict[int, list[int]] = {}
         for mask, counts in states.items():
             if mask & 1:

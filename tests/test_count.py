@@ -8,12 +8,14 @@ pinned to the broken-profile transfer matrix of the benchmark's oracle
 (``perfbench/oracles.py::tiling_counts``).
 """
 
+import ast
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,9 @@ from test_matchings import polyominoes
 from test_planar import deletions
 from tilings import complexes
 from tilings.cli import main
-from tilings.complexes import (TilingFace, _edge_decomposition,
-                               build_complex, count_f_vector,
-                               verify_edge_decomposition)
+from tilings.complexes import (TilingFace, _count_without,
+                               _edge_decomposition, build_complex,
+                               count_f_vector, verify_edge_decomposition)
 from tilings.fixtures import core_fixture_names, named_fixture
 from tilings.matchings import count_tilings
 from tilings.planar import graph_from_cells
@@ -122,6 +124,22 @@ def enumerated_f_vector(g):
     return build_complex(g).f_vector()
 
 
+def enumerated_without(g, vertices, edge=None):
+    """The f-vector of the sub-embedding without ``vertices`` and ``edge``,
+    by enumeration: the reference of ``_count_without``."""
+    return enumerated_f_vector(g.subgraph(
+        remove_vertices=vertices, remove_edges=[edge] if edge else []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(deletions())
+def test_counts_without_match_subgraph_counts(case):
+    g, rv, re = case
+    edge = min(re, default=None)
+    assert _count_without(g, frozenset(rv), edge) == count_f_vector(
+        g.subgraph(remove_vertices=rv, remove_edges=[edge] if edge else []))
+
+
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "figure2", "prism",
                                   "ladder-3-2", "ladder-5", "ladder-6-6"])
 def test_decomposition_reports_match_enumeration(name, monkeypatch):
@@ -132,7 +150,7 @@ def test_decomposition_reports_match_enumeration(name, monkeypatch):
                            if e in r.edge_set]) == 1]
     assert edges
     counted = [_edge_decomposition(g, e, r, f_g) for e, r in edges]
-    monkeypatch.setattr(complexes, "count_f_vector", enumerated_f_vector)
+    monkeypatch.setattr(complexes, "_count_without", enumerated_without)
     assert counted == [_edge_decomposition(g, e, r, f_g) for e, r in edges]
 
 
@@ -142,6 +160,37 @@ def test_decomposition_reports_match_enumeration(name, monkeypatch):
 class NoFaces(TilingFace):
     def __new__(cls, *args, **kwargs):
         raise AssertionError("a TilingFace was built")
+
+    @classmethod
+    def _make(cls, iterable):
+        raise AssertionError("a TilingFace was built")
+
+
+def face_bypasses(tree):
+    """(line, what) for every reference to ``TilingFace._make`` or
+    ``tuple.__new__`` in a parsed module: the routes to a face that go
+    around ``TilingFace.__new__``, and so around the patch above."""
+    return sorted(
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in {("TilingFace", "_make"),
+                                           ("tuple", "__new__")})
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in Path(tilings.__file__).parent.glob("*.py")))
+def test_no_module_builds_faces_around_new(name):
+    path = Path(tilings.__file__).parent / name
+    assert face_bypasses(ast.parse(path.read_text())) == []
+
+
+def test_bypass_guard_sees_each_kind():
+    tree = ast.parse("a = list(map(TilingFace._make, pairs))\n"
+                     "b = tuple.__new__(TilingFace, (m, s))\n"
+                     "c = TilingFace(m, s)\nd = Matching._make(x)\n")
+    assert face_bypasses(tree) == [(1, "TilingFace._make"),
+                                   (2, "tuple.__new__")]
 
 
 def test_counting_builds_no_faces(monkeypatch, capsys):

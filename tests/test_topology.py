@@ -16,6 +16,7 @@ from tilings.topology import (SimplicialComplex, _cells_and_boundaries,
                               boundary_of_boundary_vanishes, collapse_search,
                               independence_complex, kozlov_reference_betti,
                               link_of_face, matched_region_graph, z2_betti)
+from tilings.verify import _vertices_below
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -149,9 +150,25 @@ class TestLink:
         monkeypatch.setattr(complexes, "TilingFace", NoFaces)
         monkeypatch.setattr(topology, "TilingFace", NoFaces)
         with pytest.raises(AssertionError, match="TilingFace"):
-            ks[0].facets_of(ks[0].faces[-1])
+            build_complex(build_ladder(4))
         assert [[link_of_face(k, f, check_model=False) for f in k.faces]
                 for k in ks] == want
+
+    def test_facets_are_the_stored_faces(self, monkeypatch):
+        # ``facets_of`` looks each facet up and builds none, so its readers
+        # see the complex's own faces, in the same order as before.
+        ks = [build_complex(g) for g in
+              [build_ladder(4), figure_counterexample(), triangular_prism(),
+               build_from_polyomino("###\n###\n##.")]]
+        want = [([list(k.facets_of(f)) for f in k.faces],
+                 _cells_and_boundaries(k), _vertices_below(k)) for k in ks]
+        monkeypatch.setattr(complexes, "TilingFace", NoFaces)
+        for k, (facets, cells, below) in zip(ks, want):
+            got = [k.facets_of(f) for f in k.faces]
+            assert got == facets
+            assert all(g is k.faces[k.position(g)] for fs in got for g in fs)
+            assert _cells_and_boundaries(k) == cells
+            assert _vertices_below(k) == below
 
     @pytest.mark.parametrize("build", [lambda: build_ladder(3),
                                        triangular_prism,
