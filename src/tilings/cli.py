@@ -90,7 +90,7 @@ def cmd_complex(args) -> int:
     if args.cube:
         # The vertices of the complex are the perfect matchings, in order.
         verts = [v.matching for v in k.vertices()]
-        coords = cube_coordinates(g, verts[0]) if verts else {}
+        coords = cube_coordinates(g, verts)
         payload["cube_coordinates"] = [
             {"matching": [list(e) for e in m], "x": list(coords[m])}
             for m in verts]

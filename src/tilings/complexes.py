@@ -28,26 +28,6 @@ class TilingFace(NamedTuple):
         return (self.dim, sorted(self.cycles), self.matching.sorted_edges())
 
 
-def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
-    """Face order of the cubical complex of g: f1 <= f2 iff cycles(f1) <=
-    cycles(f2) and the matching of f1 is that of f2 plus one boundary
-    alternation of each region of f2 that f1 releases.
-
-    The two containments alone admit spurious pairs: a matching can extend
-    M_F while pairing vertices across two regions of C_F, which is not a
-    flip combination; the graph rules those out.
-    """
-    if not (f1.cycles <= f2.cycles and f1.matching >= f2.matching):
-        return False
-    extra = f1.matching - f2.matching
-    for r in f2.cycles - f1.cycles:
-        here = extra & g.regions[r].edge_set
-        if here not in g.regions[r].alternations:
-            return False
-        extra -= here
-    return not extra
-
-
 class CubicalMatchingComplex:
     """Faces of the cubical complex of ``graph``, in the order given:
     :func:`build_complex` gives them in the order of

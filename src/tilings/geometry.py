@@ -81,27 +81,23 @@ def signed_area2(poly: Sequence[Point]) -> int | Fraction:
     return total
 
 
-def point_in_polygon(p: Point, poly: Sequence[Point]) -> int:
-    """Locate p relative to a simple polygon: 1 inside, 0 on boundary, -1 outside.
+def ray_crosses(p: Point, a: Point, b: Point) -> bool:
+    """Whether the ray from p in the -x direction crosses segment ab: one
+    endpoint lies strictly above p's line and the other does not, so a
+    vertex on the ray counts once, and ab passes on that side of p.  It is
+    symmetric in a and b; a closed walk that misses p encloses it iff an odd
+    number of its edges cross."""
+    return ((a[1] > p[1]) != (b[1] > p[1])
+            and orientation(a, b, p) * (b[1] - a[1]) < 0)
 
-    Crossing-number walk over the edges; all comparisons are exact.
-    """
-    n = len(poly)
-    for i in range(n):
-        if on_segment(p, poly[i], poly[(i + 1) % n]):
-            return 0
-    inside = False
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        # Does the horizontal ray from p to +infinity cross edge ab?
-        if (a[1] > p[1]) == (b[1] > p[1]):
-            continue
-        # Edge straddles the ray's line; side test gives the crossing.
-        o = orientation(a, b, p)
-        if (b[1] > a[1] and o < 0) or (b[1] < a[1] and o > 0):
-            inside = not inside
-    return 1 if inside else -1
+
+def point_in_polygon(p: Point, poly: Sequence[Point]) -> int:
+    """Locate p relative to a simple polygon: 1 inside, 0 on boundary, -1
+    outside, by the parity of the edges that cross p's ray; exact."""
+    edges = [(poly[i - 1], poly[i]) for i in range(len(poly))]
+    if any(on_segment(p, a, b) for a, b in edges):
+        return 0
+    return 1 if sum(ray_crosses(p, a, b) for a, b in edges) % 2 else -1
 
 
 def vertex_centroid(poly: Sequence[Point]) -> Point:

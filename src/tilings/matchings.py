@@ -3,10 +3,11 @@ cube-coordinate embedding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from operator import xor
+from typing import Iterable, Mapping, Sequence
 
-from .geometry import common_lattice, interior_point, point_in_polygon
+from .geometry import common_lattice, interior_point, ray_crosses
 from .planar import Edge, GraphError, PlanarGraph
 
 
@@ -34,11 +35,6 @@ class Matching(frozenset):
         # The edge set's repr: its edges in the set's own order, not sorted.
         edges = "{" + ", ".join(map(repr, frozenset.__iter__(self))) + "}"
         return f"Matching(edges=frozenset({edges if self else ''}))"
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    cycles: tuple[tuple[int, ...], ...]
 
 
 def enumerate_perfect_matchings(g: PlanarGraph) -> list[Matching]:
@@ -181,72 +177,33 @@ def _add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def symmetric_difference_cycles(m1: Matching, m2: Matching) -> CycleDecomposition:
-    """Decompose the symmetric difference of two perfect matchings of the
-    same graph into its vertex-disjoint alternating cycles."""
-    if m1.covered != m2.covered:
-        raise GraphError("matchings cover different vertex sets")
-    diff = m1 ^ m2
-    nbr: dict[int, list[int]] = {}
-    for u, v in diff:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
-    cycles = []
-    seen: set[int] = set()
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            a, b = nbr[cur]
-            nxt = b if a == prev else a
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            seen.add(nxt)
-            prev, cur = cur, nxt
-        # Canonical orientation: start at the minimum, second element minimal.
-        if len(cycle) > 2 and cycle[-1] < cycle[1]:
-            cycle = [cycle[0]] + cycle[:0:-1]
-        cycles.append(tuple(cycle))
-    return CycleDecomposition(tuple(sorted(cycles)))
-
-
-def cube_coordinates(g: PlanarGraph,
-                     base: Matching,
-                     region_order: Optional[Sequence[int]] = None
+def cube_coordinates(g: PlanarGraph, matchings: Sequence[Matching]
                      ) -> dict[Matching, tuple[int, ...]]:
-    """Embed the vertices of the cubical matching complex into {0,1}^d.
+    """The cube embedding: each perfect matching M of g in ``matchings`` as a
+    point of {0,1}^d, d the number of regions, the first one at the origin.
 
-    Coordinate i of a matching M is the parity of the number of cycles of
-    the symmetric difference with the base matching that strictly contain an
-    interior point of region ``region_order[i]``.
+    Coordinate i is the parity of the number of cycles of M + base, the
+    symmetric difference with the first matching, that enclose an interior
+    point p_i of region i: the parity of the edges of M + base that cross
+    p_i's ray.  So x(M) is the XOR over the edges of M and of the base of
+    their masks, bit i set when the edge crosses p_i's ray: an affine map
+    over Z/2, with the masks found once per graph.
     """
-    if base.covered != frozenset(g.vertex_ids):
-        raise GraphError("base is not a perfect matching of the graph")
-    d = len(g.regions)
-    if region_order is None:
-        region_order = list(range(d))
-    if sorted(region_order) != list(range(d)):
-        raise GraphError("region_order must list every region exactly once")
     lattice = g.lattice
-    inner = [interior_point([lattice[v] for v in g.regions[r].cycle])
-             for r in region_order]
     # The interior points are Fractions of a lattice unit: scale them and
     # the lattice by their common denominator, so every test runs on ints.
-    k, pts = common_lattice(inner)
+    k, pts = common_lattice([interior_point([lattice[v] for v in r.cycle])
+                             for r in g.regions])
     pos = {v: (x * k, y * k) for v, (x, y) in lattice.items()}
-
-    coords = {}
-    for m in enumerate_perfect_matchings(g):
-        dec = symmetric_difference_cycles(m, base)
-        x = [0] * d
-        for cycle in dec.cycles:
-            poly = [pos[v] for v in cycle]
-            for i, p in enumerate(pts):
-                if point_in_polygon(p, poly) == 1:
-                    x[i] ^= 1
-        coords[m] = tuple(x)
-    return coords
+    mask = {(u, v): sum(1 << i for i, p in enumerate(pts)
+                        if ray_crosses(p, pos[u], pos[v])) for u, v in g.edges}
+    n = len(lattice)
+    parity = {}
+    for m in matchings:
+        if 2 * len(m) != n or not m <= g.edges or len(m.covered) != n:
+            raise GraphError(f"{m.sorted_edges()} is not a perfect matching "
+                             "of the graph")
+        parity[m] = reduce(xor, (mask[e] for e in m), 0)
+    base = next(iter(parity.values()), 0)
+    return {m: tuple((x ^ base) >> i & 1 for i in range(len(pts)))
+            for m, x in parity.items()}

@@ -68,17 +68,6 @@ class Region:
         return frozenset(edges[0::2]), frozenset(edges[1::2])
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Weak dual: one node per bounded region, adjacency = shared edge."""
-
-    nodes: tuple[int, ...]
-    adjacency: frozenset[tuple[int, int]]
-
-    def neighbors(self, r: int) -> set[int]:
-        return {b if a == r else a for a, b in self.adjacency if r in (a, b)}
-
-
 @dataclass
 class EdgeClassification:
     """forced / forbidden / free status per edge, by full enumeration."""
@@ -471,14 +460,7 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
     return PlanarGraph(vertices, edges)
 
 
-# -- dual, edge classification, reduction ----------------------------------------
-
-
-def weak_dual(g: PlanarGraph) -> DualGraph:
-    rs = g.regions
-    return DualGraph(tuple(range(len(rs))), frozenset(
-        (i, j) for i in range(len(rs)) for j in range(i + 1, len(rs))
-        if not rs[i].edge_set.isdisjoint(rs[j].edge_set)))
+# -- edge classification, reduction ---------------------------------------------
 
 
 def classify_edges(g: PlanarGraph) -> EdgeClassification:

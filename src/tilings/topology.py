@@ -18,14 +18,6 @@ class SimplicialComplex:
     vertices: frozenset
     facets: frozenset[frozenset]
 
-    @staticmethod
-    def from_faces(faces) -> "SimplicialComplex":
-        faces = [frozenset(f) for f in faces]
-        facets = [f for f in faces
-                  if not any(f < other for other in faces)]
-        verts = frozenset(v for f in facets for v in f)
-        return SimplicialComplex(verts, frozenset(facets))
-
     def all_faces(self) -> list[frozenset]:
         """Every nonempty face, isolated vertices included."""
         out: set[frozenset] = set(frozenset({v}) for v in self.vertices)
@@ -182,19 +174,6 @@ def _betti(dims: list[int], facets: list[list[int]]) -> tuple[int, ...]:
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
-
-
-def boundary_of_boundary_vanishes(
-        c: Union[SimplicialComplex, CubicalMatchingComplex]) -> bool:
-    _, _, facets = _cells_and_boundaries(c)
-    for fs in facets:
-        acc = 0
-        for j in fs:
-            for i in facets[j]:
-                acc ^= 1 << i
-        if acc:
-            return False
-    return True
 
 
 # -- collapsibility ----------------------------------------------------------------

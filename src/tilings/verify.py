@@ -40,7 +40,6 @@ class Bounds:
     max_n: int = 14
     max_d: int = 8
     max_faces: int = 5000
-    max_regions: int = 12
     seed: int = 0
     random_count: int = 20
     budget: int = 20000
@@ -411,13 +410,11 @@ def check_decomposition(corpus: Corpus, bounds: Bounds) -> Cases:
         "injective on vertices, each face a full geometric subcube")
 def check_cube(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
-        if len(g.regions) > bounds.max_regions:
-            continue
         k = corpus.complex(name, g)
         verts = k.vertices()
         if not verts:
             continue
-        coords = cube_coordinates(g, verts[0].matching)
+        coords = cube_coordinates(g, [v.matching for v in verts])
         if len(set(coords.values())) != len(coords):
             yield {"fixture": name, "part": "injectivity"}
             continue

@@ -1,0 +1,78 @@
+"""Reference implementations the tests compare the package against.
+
+Each computes something the package reads another way, by the plain
+definition: the face order by direct comparison (the package walks covers),
+a simplicial complex by keeping its maximal faces (the package lists facets
+directly), the boundary of a boundary, and the weak dual of a drawing (the
+package builds only its induced subgraphs, in ``matched_region_graph``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Union
+
+from tilings.complexes import CubicalMatchingComplex, TilingFace
+from tilings.planar import PlanarGraph
+from tilings.topology import SimplicialComplex, _cells_and_boundaries
+
+
+def face_leq(f1: TilingFace, f2: TilingFace, g: PlanarGraph) -> bool:
+    """Face order of the cubical complex of g: f1 <= f2 iff cycles(f1) <=
+    cycles(f2) and the matching of f1 is that of f2 plus one boundary
+    alternation of each region of f2 that f1 releases.
+
+    The two containments alone admit spurious pairs: a matching can extend
+    M_F while pairing vertices across two regions of C_F, which is not a
+    flip combination; the graph rules those out.
+    """
+    if not (f1.cycles <= f2.cycles and f1.matching >= f2.matching):
+        return False
+    extra = f1.matching - f2.matching
+    for r in f2.cycles - f1.cycles:
+        here = extra & g.regions[r].edge_set
+        if here not in g.regions[r].alternations:
+            return False
+        extra -= here
+    return not extra
+
+
+def from_faces(faces) -> SimplicialComplex:
+    """The simplicial complex whose faces are ``faces`` and their subsets:
+    its facets are the faces contained in no other."""
+    faces = [frozenset(f) for f in faces]
+    facets = [f for f in faces
+              if not any(f < other for other in faces)]
+    verts = frozenset(v for f in facets for v in f)
+    return SimplicialComplex(verts, frozenset(facets))
+
+
+def boundary_of_boundary_vanishes(
+        c: Union[SimplicialComplex, CubicalMatchingComplex]) -> bool:
+    _, _, facets = _cells_and_boundaries(c)
+    for fs in facets:
+        acc = 0
+        for j in fs:
+            for i in facets[j]:
+                acc ^= 1 << i
+        if acc:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class DualGraph:
+    """Weak dual: one node per bounded region, adjacency = shared edge."""
+
+    nodes: tuple[int, ...]
+    adjacency: frozenset[tuple[int, int]]
+
+    def neighbors(self, r: int) -> set[int]:
+        return {b if a == r else a for a, b in self.adjacency if r in (a, b)}
+
+
+def weak_dual(g: PlanarGraph) -> DualGraph:
+    rs = g.regions
+    return DualGraph(tuple(range(len(rs))), frozenset(
+        (i, j) for i in range(len(rs)) for j in range(i + 1, len(rs))
+        if not rs[i].edge_set.isdisjoint(rs[j].edge_set)))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilings.complexes import (TilingFace, build_complex, face_leq,
+from reference import face_leq
+from tilings.complexes import (TilingFace, build_complex,
                                verify_edge_decomposition)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               figure_g3, is_simply_connected,

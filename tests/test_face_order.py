@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tilings
-from tilings.complexes import TilingFace, build_complex, face_leq
+from reference import face_leq, from_faces
+from tilings.complexes import TilingFace, build_complex
 from tilings.fixtures import (core_fixture_names, figure_counterexample,
                               figure_g1, figure_g2, figure_g3, named_fixture,
                               triangular_prism)
 from tilings.matchings import enumerate_perfect_matchings
 from tilings.planar import (Region, cells_connected, edge_key,
                             graph_from_cells)
-from tilings.topology import SimplicialComplex, link_of_face
+from tilings.topology import link_of_face
 from tilings.verify import _vertices_below
 
 FIGURES = [figure_g1, figure_g2, figure_g3, figure_counterexample,
@@ -70,7 +71,7 @@ def assert_order_matches_scan(g):
     above = faces_above_by_scan(k)
     below = _vertices_below(k)
     for f in k.faces:
-        want_link = SimplicialComplex.from_faces(
+        want_link = from_faces(
             c.cycles - f.cycles for c in above[f])
         assert link_of_face(k, f, check_model=False) == want_link
         assert below[f] == {v.matching for v in k.vertices()
@@ -197,16 +198,19 @@ def test_vertices_are_matchings_on_polyominoes(cells):
     assert_vertices_are_matchings(graph_from_cells(set(cells)))
 
 
-# -- face_leq stays out of the package's own code ----------------------------------
+# -- the references stay out of the package's own code ----------------------------
 
 
 def references(tree, name):
     """(line, kind) for every mention of ``name`` in a parsed module: its
-    definition, an import, a use, an attribute, or a string."""
+    definition as a function or class, an import, a use, an attribute, a
+    string, a parameter, or a keyword argument."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == name:
             found.append((node.lineno, "def"))
+        elif isinstance(node, ast.ClassDef) and node.name == name:
+            found.append((node.lineno, "class"))
         elif isinstance(node, ast.alias) and name in (node.name,
                                                       node.asname):
             found.append((node.lineno, "import"))
@@ -216,21 +220,35 @@ def references(tree, name):
             found.append((node.lineno, "attribute"))
         elif isinstance(node, ast.Constant) and node.value == name:
             found.append((node.lineno, "string"))
+        elif isinstance(node, ast.arg) and node.arg == name:
+            found.append((node.lineno, "parameter"))
+        elif isinstance(node, ast.keyword) and node.arg == name:
+            found.append((node.lineno, "keyword"))
     return sorted(found)
 
 
-def test_face_leq_has_no_caller_in_the_package():
+# Names that live in the tests as references, or that are gone: no module of
+# the package defines, imports, calls or exports them.
+TEST_ONLY = ["face_leq", "from_faces", "boundary_of_boundary_vanishes",
+             "weak_dual", "DualGraph", "symmetric_difference_cycles",
+             "CycleDecomposition", "region_order", "max_regions"]
+
+
+def test_reference_names_stay_out_of_the_package():
     package = Path(tilings.__file__).parent
-    kinds = {}
+    found = {}
     for path in sorted(package.glob("*.py")):
-        for _, kind in references(ast.parse(path.read_text()), "face_leq"):
-            kinds.setdefault(path.name, []).append(kind)
-    assert kinds == {"__init__.py": ["import", "string"],
-                     "complexes.py": ["def"]}
+        tree = ast.parse(path.read_text())
+        for name in TEST_ONLY:
+            for line, kind in references(tree, name):
+                found.setdefault(path.name, []).append((name, line, kind))
+    assert found == {}
 
 
 def test_references_guard_sees_each_kind():
     tree = ast.parse("def f(): pass\nfrom m import f\ng = f\nh = m.f\n"
-                     "__all__ = ['f']\n")
-    assert references(tree, "f") == [(1, "def"), (2, "import"), (3, "use"),
-                                      (4, "attribute"), (5, "string")]
+                     "__all__ = ['f']\nclass f: pass\ndef g(f=0): pass\n"
+                     "g(f=1)\n")
+    assert references(tree, "f") == [
+        (1, "def"), (2, "import"), (3, "use"), (4, "attribute"),
+        (5, "string"), (6, "class"), (7, "parameter"), (8, "keyword")]

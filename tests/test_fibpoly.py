@@ -149,7 +149,7 @@ class TestPPolynomials:
         ms = enumerate_perfect_matchings(g)
         vertical = [m for m in ms
                     if all(u + 1 == w for u, w in m.edges)][0]
-        coords = cube_coordinates(g, vertical)
+        coords = cube_coordinates(g, [vertical, *ms])
         p = p_polynomial(n)
         for k in range(len(p.coeffs)):
             assert p[k] == sum(1 for x in coords.values() if sum(x) == k)

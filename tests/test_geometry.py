@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tilings.fixtures import named_fixture
 from tilings.geometry import (angle_less, as_point, interior_point,
                               on_segment, orientation, point_in_polygon,
-                              segments_intersect, signed_area2,
+                              ray_crosses, segments_intersect, signed_area2,
                               vertex_centroid)
 
 F = Fraction
@@ -50,6 +50,24 @@ def test_point_in_polygon_square():
     assert point_in_polygon(P(2, 2), SQUARE) == -1
     # Ray through a vertex should not double-count.
     assert point_in_polygon(P(-1, 1), SQUARE) == -1
+
+
+def test_ray_crosses_counts_a_vertex_on_the_ray_once():
+    p = P(1, 1)
+    assert ray_crosses(p, P(0, 0), P(0, 2))
+    assert not ray_crosses(p, P(2, 0), P(2, 2))
+    # The walk (0,0) - (0,1) - (0,2) meets the ray at its middle vertex:
+    # only the edge above p's line crosses.
+    assert not ray_crosses(p, P(0, 0), P(0, 1))
+    assert ray_crosses(p, P(0, 1), P(0, 2))
+
+
+small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(small, small, small)
+def test_ray_crosses_is_symmetric(p, a, b):
+    assert ray_crosses(p, a, b) == ray_crosses(p, b, a)
 
 
 def test_interior_point_convex_and_reflex():

@@ -1,14 +1,17 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilings import cli, complexes, matchings
 from tilings.fixtures import named_fixture
 from tilings.geometry import interior_point, point_in_polygon
 from tilings.matchings import (Matching, cube_coordinates,
-                               enumerate_perfect_matchings,
-                               symmetric_difference_cycles)
+                               enumerate_perfect_matchings)
 from tilings.planar import (GraphError, PlanarGraph, build_ladder,
                             cells_connected, graph_from_cells)
+from tilings.verify import Bounds, Corpus, check_cube
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -48,6 +51,64 @@ class TestEnumeration:
         assert a == b + c
 
 
+# -- the cycles of M + base, and the per-cycle reference -----------------------
+
+
+@dataclass(frozen=True)
+class CycleDecomposition:
+    cycles: tuple[tuple[int, ...], ...]
+
+
+def symmetric_difference_cycles(m1: Matching, m2: Matching) -> CycleDecomposition:
+    """Decompose the symmetric difference of two perfect matchings of the
+    same graph into its vertex-disjoint alternating cycles."""
+    if m1.covered != m2.covered:
+        raise GraphError("matchings cover different vertex sets")
+    diff = m1 ^ m2
+    nbr: dict[int, list[int]] = {}
+    for u, v in diff:
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
+    cycles = []
+    seen: set[int] = set()
+    for start in sorted(nbr):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        prev, cur = None, start
+        while True:
+            a, b = nbr[cur]
+            nxt = b if a == prev else a
+            if nxt == start:
+                break
+            cycle.append(nxt)
+            seen.add(nxt)
+            prev, cur = cur, nxt
+        # Canonical orientation: start at the minimum, second element minimal.
+        if len(cycle) > 2 and cycle[-1] < cycle[1]:
+            cycle = [cycle[0]] + cycle[:0:-1]
+        cycles.append(tuple(cycle))
+    return CycleDecomposition(tuple(sorted(cycles)))
+
+
+def cube_reference(g, base):
+    """Cube coordinates computed on the rational coordinates: an interior
+    point of each region, located in each cycle of M + base."""
+    coords = g.coords
+    pts = [interior_point([coords[v] for v in r.cycle]) for r in g.regions]
+    out = {}
+    for m in enumerate_perfect_matchings(g):
+        x = [0] * len(pts)
+        for cycle in symmetric_difference_cycles(m, base).cycles:
+            poly = [coords[v] for v in cycle]
+            for i, p in enumerate(pts):
+                if point_in_polygon(p, poly) == 1:
+                    x[i] ^= 1
+        out[m] = tuple(x)
+    return out
+
+
 class TestSymmetricDifference:
     def test_equal_matchings_no_cycles(self):
         m = enumerate_perfect_matchings(c4())[0]
@@ -84,19 +145,26 @@ class TestCubeCoordinates:
     def test_base_is_origin(self):
         g = build_ladder(3)
         ms = enumerate_perfect_matchings(g)
-        coords = cube_coordinates(g, ms[0])
+        coords = cube_coordinates(g, ms)
         assert coords[ms[0]] == (0, 0, 0)
 
     def test_c4_nonbase_vertex(self):
         g = c4()
         m1, m2 = enumerate_perfect_matchings(g)
-        coords = cube_coordinates(g, m1)
+        coords = cube_coordinates(g, [m1, m2])
         assert coords[m2] == (1,)
+
+    def test_keys_follow_the_given_matchings(self):
+        g = build_ladder(3)
+        ms = enumerate_perfect_matchings(g)
+        assert list(cube_coordinates(g, ms[::-1])) == ms[::-1]
+        assert cube_coordinates(g, ms[1:2]) == {ms[1]: (0, 0, 0)}
+        assert cube_coordinates(g, []) == {}
 
     def test_single_region_flip_changes_one_coordinate(self):
         g = build_ladder(4)
         ms = enumerate_perfect_matchings(g)
-        coords = cube_coordinates(g, ms[0])
+        coords = cube_coordinates(g, ms)
         for ma in ms:
             for mb in ms:
                 dec = symmetric_difference_cycles(ma, mb)
@@ -116,56 +184,47 @@ class TestCubeCoordinates:
         for n in range(1, 7):
             g = build_ladder(n)
             ms = enumerate_perfect_matchings(g)
-            coords = cube_coordinates(g, ms[0])
+            coords = cube_coordinates(g, ms)
             assert len(set(coords.values())) == len(ms)
 
     def test_base_must_be_perfect(self):
         g = build_ladder(2)
         with pytest.raises(GraphError, match="not a perfect matching"):
-            cube_coordinates(g, Matching(frozenset({(0, 1)})))
+            cube_coordinates(g, [Matching(frozenset({(0, 1)}))])
 
-    def test_region_order_validated(self):
+    @pytest.mark.parametrize("edges", [
+        # Too few edges: vertices 4 and 5 are left uncovered.
+        {(0, 1), (2, 3)},
+        # Three edges of the graph, but vertex 0 is covered twice and 4 not
+        # at all.
+        {(0, 1), (0, 2), (3, 5)},
+        # Covers every vertex with an edge the graph does not have.
+        {(0, 1), (2, 5), (3, 4)},
+    ])
+    def test_every_matching_must_be_perfect(self, edges):
         g = build_ladder(2)
-        base = enumerate_perfect_matchings(g)[0]
-        with pytest.raises(GraphError, match="every region"):
-            cube_coordinates(g, base, region_order=[0])
+        ms = enumerate_perfect_matchings(g)
+        with pytest.raises(GraphError, match="not a perfect matching"):
+            cube_coordinates(g, [*ms, Matching(frozenset(edges))])
 
 
-# -- cube coordinates against the rational computation ------------------------
+# -- cube coordinates against the per-cycle reference -------------------------
 
 
-def cube_reference(g, base, region_order):
-    """Cube coordinates computed on the rational coordinates: an interior
-    point of each region, located in each cycle of M + base."""
-    coords = g.coords
-    pts = [interior_point([coords[v] for v in g.regions[r].cycle])
-           for r in region_order]
-    out = {}
-    for m in enumerate_perfect_matchings(g):
-        x = [0] * len(pts)
-        for cycle in symmetric_difference_cycles(m, base).cycles:
-            poly = [coords[v] for v in cycle]
-            for i, p in enumerate(pts):
-                if point_in_polygon(p, poly) == 1:
-                    x[i] ^= 1
-        out[m] = tuple(x)
-    return out
-
-
-def assert_cube_matches_reference(g):
+def assert_cube_matches_reference(g, base_index=0):
     ms = enumerate_perfect_matchings(g)
     if not ms:
         return
-    order = list(range(len(g.regions)))
-    for base, region_order in ((ms[0], order), (ms[-1], order[::-1])):
-        assert (cube_coordinates(g, base, region_order)
-                == cube_reference(g, base, region_order))
+    base = ms[base_index % len(ms)]
+    # The base comes first; its second occurrence in ms adds nothing.
+    assert cube_coordinates(g, [base, *ms]) == cube_reference(g, base)
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "figure2", "ladder-4-2"])
 def test_cube_coordinates_match_rational_reference(name):
     g = named_fixture(name)
-    assert_cube_matches_reference(g)
+    for base_index in (0, -1):
+        assert_cube_matches_reference(g, base_index)
 
 
 @st.composite
@@ -183,7 +242,43 @@ def polyominoes(draw, max_cells=12):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polyominoes())
-def test_cube_coordinates_match_rational_reference_on_polyominoes(cells):
+@given(polyominoes(), st.integers(min_value=0))
+def test_cube_coordinates_match_rational_reference_on_polyominoes(
+        cells, base_index):
     assert cells_connected(cells)
-    assert_cube_matches_reference(graph_from_cells(cells))
+    assert_cube_matches_reference(graph_from_cells(cells), base_index)
+
+
+# -- the cube reads the complex's vertices, not the search ------------------------
+
+
+def forbid_search(monkeypatch):
+    """Make every run of the matching search, from now on, fail."""
+    def search(*args, **kwargs):
+        raise AssertionError("the matching search ran")
+    for mod in (matchings, complexes):
+        monkeypatch.setattr(mod, "matchings_of_adjacency", search)
+    with pytest.raises(AssertionError, match="search ran"):
+        enumerate_perfect_matchings(build_ladder(2))
+
+
+def test_check_cube_runs_no_search(monkeypatch):
+    bounds = Bounds(max_ladder=3, max_cells=6, random_count=2)
+    corpus = Corpus(bounds)
+    for name, g in corpus.graphs():
+        corpus.complex(name, g)
+    forbid_search(monkeypatch)
+    result = check_cube(corpus, bounds)
+    assert result.passed and result.checked > 0
+
+
+def test_complex_cube_runs_no_search(monkeypatch, capsys):
+    original = cli.build_complex
+
+    def build_then_forbid(g):
+        k = original(g)
+        forbid_search(monkeypatch)
+        return k
+    monkeypatch.setattr(cli, "build_complex", build_then_forbid)
+    assert cli.main(["complex", "ladder-3", "--cube", "--format", "json"]) == 0
+    assert '"cube_coordinates"' in capsys.readouterr().out

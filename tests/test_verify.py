@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import face_leq
 from tilings import verify
-from tilings.complexes import (CubicalMatchingComplex, build_complex,
-                               face_leq)
+from tilings.complexes import CubicalMatchingComplex, build_complex
 from tilings.planar import build_ladder
 from tilings.topology import independence_complex, matched_region_graph
 from tilings.verify import (CHECKS, Bounds, CheckResult, Corpus, _bipartite,
