@@ -8,9 +8,11 @@ enumeration doubles as the correctness oracle for everything downstream.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
-from .matchings import Matching, count_tilings, matchings_of_adjacency
+from .matchings import (Matching, _search_plan, count_on_plan,
+                        count_tilings, matchings_of_adjacency)
 from .planar import Edge, GraphError, PlanarGraph, edge_key
 
 
@@ -158,67 +160,91 @@ def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:
       odd R:  f_i(C(G)) = f_i(C(G - {x,y})) + f_i(C(G - e))
       even R: f_i(C(G)) = f_i(C(G - {x,y})) + f_i(C(G - e)) + f_{i-1}(C(G - R))
     """
-    e = edge_key(int(e[0]), int(e[1]))
-    if e not in g.edges:
-        raise GraphError(f"{e} is not an edge of the graph")
-    containing = [i for i, r in enumerate(g.regions) if e in r.edge_set]
-    if len(containing) == 0:
-        raise GraphError(f"edge {e} borders the outer region on both sides")
-    if len(containing) > 1:
-        raise GraphError(f"edge {e} does not lie on the outer region")
-    return _edge_decomposition(g, e, containing[0], count_f_vector(g))
+    [report] = edge_decompositions(g, [edge_key(int(e[0]), int(e[1]))])
+    return report
 
 
-def _edge_decomposition(g: PlanarGraph, e: Edge, r: int,
-                        f_g: list[int]) -> dict:
-    """The report of :func:`verify_edge_decomposition` for an edge e of g
-    on the outer region that lies in region r only, given the f-vector of
-    C(G), so a caller checking many edges of one graph finds it once.  The
-    terms are counted, not enumerated, and no sub-embedding is derived."""
+def edge_decompositions(g: PlanarGraph, edges: Optional[Iterable[Edge]] = None,
+                        f_g: Optional[list[int]] = None) -> list[dict]:
+    """The report of :func:`verify_edge_decomposition` at each edge of g in
+    ``edges``, by default at every edge of g that lies in one region, in
+    sorted order.  ``f_g`` is the f-vector of C(G), counted here if not
+    given.
+
+    Every term is counted on one search plan of g (:func:`_counter_without`)
+    and no sub-embedding is derived; f(G - R) is counted once per region R.
+    """
+    holding: dict[Edge, list[int]] = {}
+    for i, r in enumerate(g.regions):
+        for e in r.edge_set:
+            holding.setdefault(e, []).append(i)
+    edges = ([e for e in sorted(holding) if len(holding[e]) == 1]
+             if edges is None else list(edges))
+    for e in edges:
+        if e not in g.edges:
+            raise GraphError(f"{e} is not an edge of the graph")
+        if e not in holding:
+            raise GraphError(f"edge {e} borders the outer region on both sides")
+        if len(holding[e]) > 1:
+            raise GraphError(f"edge {e} does not lie on the outer region")
+    count = _counter_without(g, holding)
+    if f_g is None:
+        f_g = count()
+    without_region: dict[int, list[int]] = {}
+    reports = []
+    for e in edges:
+        [r] = holding[e]
+        terms = {"without_endpoints": count(e), "without_edge": count((), e)}
+        if g.regions[r].parity == "even":
+            if r not in without_region:
+                without_region[r] = count(g.regions[r].cycle)
+            terms["without_region_shifted"] = without_region[r]
+        reports.append(_edge_report(g, e, r, f_g, terms))
+    return reports
+
+
+def _counter_without(g: PlanarGraph, holding: Mapping[Edge, Sequence[int]]
+                     ) -> Callable[..., list[int]]:
+    """The function ``count(vertices=(), edge=None)`` giving
+    ``count_f_vector(g.subgraph(remove_vertices=vertices,
+    remove_edges=[edge]))`` for distinct ``vertices``, every call counted on
+    one search plan of g: the vertices are covered from the start, and the
+    edge and the regions ``holding[edge]`` whose boundary holds it are
+    dropped from the moves.  Those are the subgraph's deletions, since a
+    region of g survives in it exactly when its whole boundary does."""
+    plan = _search_plan(g.vertex_ids, g.adj, _even_regions(g))
+    bit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+
+    def count(vertices: Iterable[int] = (),
+              edge: Optional[Edge] = None) -> list[int]:
+        return count_on_plan(plan, sum(bit[v] for v in vertices), edge,
+                             holding.get(edge, ()))
+
+    return count
+
+
+def _edge_report(g: PlanarGraph, e: Edge, r: int, f_g: list[int],
+                 terms: dict[str, list[int]]) -> dict:
+    """The report of :func:`verify_edge_decomposition` for edge e in region
+    r, from f(G) and the counted terms, the last shifted up one dimension."""
     parity = g.regions[r].parity
-    f_xy = _count_without(g, frozenset(e))
-    f_e = _count_without(g, frozenset(), e)
-    terms = {"without_endpoints": f_xy, "without_edge": f_e}
+    vecs = [terms["without_endpoints"], terms["without_edge"]]
     if parity == "even":
-        f_r = _count_without(g, g.regions[r].vertex_set)
-        terms["without_region_shifted"] = f_r
+        vecs.append([0] + terms["without_region_shifted"])
+    top = max(map(len, [f_g, *vecs]))
 
-    def at(vec: list[int], i: int) -> int:
-        return vec[i] if 0 <= i < len(vec) else 0
+    def padded(v: list[int]) -> list[int]:
+        return v + [0] * (top - len(v))
 
-    top = max([len(f_g), len(f_xy), len(f_e)]
-              + ([len(terms.get("without_region_shifted", [])) + 1]
-                 if parity == "even" else []))
-    rows = []
-    ok = True
-    for i in range(top):
-        rhs = at(f_xy, i) + at(f_e, i)
-        if parity == "even":
-            rhs += at(terms["without_region_shifted"], i - 1)
-        lhs = at(f_g, i)
-        rows.append({"i": i, "lhs": lhs, "rhs": rhs})
-        ok = ok and lhs == rhs
+    lhs = padded(f_g)
+    rhs = [sum(c) for c in zip(*map(padded, vecs))]
     return {
         "edge": list(e),
         "region": r,
         "region_parity": parity,
         "f_vector": f_g,
         "terms": terms,
-        "rows": rows,
-        "ok": ok,
+        "rows": [{"i": i, "lhs": a, "rhs": b}
+                 for i, (a, b) in enumerate(zip(lhs, rhs))],
+        "ok": lhs == rhs,
     }
-
-
-def _count_without(g: PlanarGraph, vertices: frozenset[int],
-                   edge: Optional[Edge] = None) -> list[int]:
-    """``count_f_vector(g.subgraph(remove_vertices=vertices,
-    remove_edges=[edge]))``, read from g itself: the subgraph's adjacency is
-    g's filtered, and its regions are those of g whose boundary survives."""
-    adj = {v: [u for u in nbrs if u not in vertices
-               and edge_key(v, u) != edge]
-           for v, nbrs in g.adj.items() if v not in vertices}
-    return count_tilings(
-        list(adj), adj,
-        [(i, r.cycle) for i, r in enumerate(g.regions)
-         if r.parity == "even" and vertices.isdisjoint(r.vertex_set)
-         and edge not in r.edge_set])

@@ -162,7 +162,12 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
 
 
 def _has_perfect_matching(cells: frozenset[Cell]) -> bool:
-    """Whether the cells have a domino tiling, by the one tiling search."""
+    """Whether the cells have a domino tiling, by the one tiling search.
+
+    A domino covers one cell of each checkerboard colour, so cells whose
+    colours differ in number are rejected before the search."""
+    if 2 * sum((r + c) % 2 for r, c in cells) != len(cells):
+        return False
     adj = {(r, c): [nb for nb in ((r - 1, c), (r, c - 1), (r, c + 1),
                                   (r + 1, c)) if nb in cells]
            for r, c in cells}

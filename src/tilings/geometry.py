@@ -17,7 +17,10 @@ Point = tuple[int | Fraction, int | Fraction]
 
 
 def as_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
+    """Exact coordinates: a plain int is kept, anything else (a bool too)
+    becomes a Fraction."""
+    return (x if type(x) is int else Fraction(x),
+            y if type(y) is int else Fraction(y))
 
 
 def common_lattice(points: Sequence[Point]
@@ -100,23 +103,19 @@ def point_in_polygon(p: Point, poly: Sequence[Point]) -> int:
     return 1 if sum(ray_crosses(p, a, b) for a, b in edges) % 2 else -1
 
 
-def vertex_centroid(poly: Sequence[Point]) -> Point:
-    """Average of the polygon's vertices, as Fractions."""
-    n = len(poly)
-    return (Fraction(sum(q[0] for q in poly), n),
-            Fraction(sum(q[1] for q in poly), n))
-
-
 def interior_point(poly: Sequence[Point]) -> Point:
     """An exact point strictly inside a simple polygon.
 
     The vertex centroid works for every convex region; for non-convex
-    polygons fall back to the centroid of an empty ear triangle.
+    polygons fall back to the centroid of an empty ear triangle.  The
+    centroid of n vertices is tested as the point of their coordinate sums
+    in the polygon scaled by n, so on a lattice polygon the test runs on
+    ints.
     """
-    c = vertex_centroid(poly)
-    if point_in_polygon(c, poly) == 1:
-        return c
     n = len(poly)
+    sx, sy = sum(q[0] for q in poly), sum(q[1] for q in poly)
+    if point_in_polygon((sx, sy), [(n * x, n * y) for x, y in poly]) == 1:
+        return (Fraction(sx, n), Fraction(sy, n))
     ccw = signed_area2(poly) > 0
     for i in range(n):
         a, b, cv = poly[i - 1], poly[i], poly[(i + 1) % n]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import xor
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .geometry import common_lattice, interior_point, ray_crosses
 from .planar import Edge, GraphError, PlanarGraph
@@ -134,37 +134,51 @@ def count_tilings(vertices: Sequence[int],
     i is the number of tilings with i regions, trailing zeros trimmed, and
     ``[]`` when there is no tiling.  No tiling is built.
 
-    The search makes the same moves, run forward over the vertex order:
-    before index i every vertex is covered, so a state is the set of covered
-    vertices from i on, as a bitmask whose bit j is vertex ``order[i + j]``.
-    Searches that reach one state have the same completions, so they are
-    merged and their counts by number of regions added.  On the cells of a
-    polyomino in row-major order this is the broken-profile transfer matrix.
+    The search plan of :func:`_search_plan`, counted by
+    :func:`count_on_plan`.
     """
-    if len(vertices) % 2 == 1:
+    return count_on_plan(_search_plan(vertices, adj, regions))
+
+
+def count_on_plan(moves: _Moves, start: int = 0, edge: Optional[Edge] = None,
+                  labels: Container[int] = ()) -> list[int]:
+    """:func:`count_tilings` on the plan ``moves`` of a graph, with the
+    vertices of the bits of ``start`` deleted, and ``edge`` with the regions
+    labelled in ``labels`` (those whose boundary holds it) deleted too.
+
+    The search makes the plan's moves, run forward over the vertex order.
+    A state is the set of covered vertices, as a bitmask like the plan's
+    masks; at index i every vertex before i is covered in every state.  The
+    states that leave vertex i uncovered make the moves at i, each of which
+    covers it, and the others wait.  Searches that reach one state have the
+    same completions, so they are merged and their counts by number of
+    regions added.  On the cells of a polyomino in row-major order this is
+    the broken-profile transfer matrix.  A deleted vertex is covered from
+    the start, so no move that touches it is made; the deleted edge and
+    regions are dropped from the moves.
+    """
+    # Edges and even regions each cover an even number of vertices.
+    if (len(moves) - start.bit_count()) % 2:
         return []
-    states: dict[int, list[int]] = {0: [1]}
-    for i, (edge_moves, region_moves) in enumerate(
-            _search_plan(vertices, adj, regions)):
-        # The moves at index i, shifted to the state's frame; a region adds
-        # one to the number of regions.
-        moves = ([(b >> i, False) for b, _ in edge_moves]
-                 + [(b >> i, True) for b, _ in region_moves])
-        nxt: dict[int, list[int]] = {}
-        for mask, counts in states.items():
-            if mask & 1:
-                key = mask >> 1
-                old = nxt.get(key)
-                nxt[key] = counts if old is None else _add(old, counts)
-                continue
-            for b, region in moves:
-                if not mask & b:
-                    key = (mask | b) >> 1
-                    add = [0] + counts if region else counts
-                    old = nxt.get(key)
-                    nxt[key] = add if old is None else _add(old, add)
-        states = nxt
-    return states.get(0, [])
+    states: dict[int, list[int]] = {start: [1]}
+    for i, (edge_moves, region_moves) in enumerate(moves):
+        bit = 1 << i
+        for mask in [m for m in states if not m & bit]:
+            counts = states.pop(mask)
+            for b, e in edge_moves:
+                if not mask & b and e != edge:
+                    key = mask | b
+                    old = states.get(key)
+                    states[key] = counts if old is None else _add(old, counts)
+            if region_moves:
+                # A region adds one to the number of regions.
+                add = [0] + counts
+                for b, label in region_moves:
+                    if not mask & b and label not in labels:
+                        key = mask | b
+                        old = states.get(key)
+                        states[key] = add if old is None else _add(old, add)
+    return states.get((1 << len(moves)) - 1, [])
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:

@@ -128,8 +128,9 @@ class PlanarGraph:
         if check_crossings:
             self._check_noncrossing()
         faces = self._trace_faces()
-        self._check_euler(faces)
-        candidates = self._bounded_simple_faces(faces)
+        comp = self.component_labels()
+        self._check_euler(faces, comp)
+        candidates = self._bounded_simple_faces(faces, comp)
 
         if regions is None:
             chosen = candidates
@@ -235,8 +236,8 @@ class PlanarGraph:
             faces.append(tuple(walk))
         return faces
 
-    def _check_euler(self, faces: list[tuple[int, ...]]) -> None:
-        comp = self.component_labels()
+    def _check_euler(self, faces: list[tuple[int, ...]],
+                     comp: Mapping[int, int]) -> None:
         ne = Counter(comp[u] for u, _ in self.edges)
         nv = Counter(comp.values())
         nf = Counter(comp[walk[0]] for walk in faces)
@@ -245,8 +246,8 @@ class PlanarGraph:
                 raise GraphError(f"Euler formula fails on component {c}: "
                                  f"V={nv[c]} E={ne[c]} F={nf[c]}")
 
-    def _bounded_simple_faces(self, faces: list[tuple[int, ...]]) -> list[Region]:
-        comp = self.component_labels()
+    def _bounded_simple_faces(self, faces: list[tuple[int, ...]],
+                              comp: Mapping[int, int]) -> list[Region]:
         regions = []
         for walk in faces:
             if len(set(walk)) != len(walk):
@@ -422,7 +423,7 @@ def graph_from_cells(cells: set[tuple[int, int]]) -> PlanarGraph:
         raise GraphError("polyomino cells are not edge-connected")
     order = sorted(cells)
     ids = {cell: i for i, cell in enumerate(order)}
-    vertices = {i: (Fraction(c), Fraction(-r)) for (r, c), i in ids.items()}
+    vertices = {i: (c, -r) for (r, c), i in ids.items()}
     edges = []
     for (r, c), i in ids.items():
         for nb in ((r, c + 1), (r + 1, c)):
@@ -444,8 +445,8 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
     edges = []
     for col in range(n + 1):
         bot, top = 2 * col, 2 * col + 1
-        vertices[bot] = (Fraction(col), Fraction(0))
-        vertices[top] = (Fraction(col), Fraction(1))
+        vertices[bot] = (col, 0)
+        vertices[top] = (col, 1)
         edges.append((bot, top))
         if col > 0:
             edges.append((bot - 2, bot))
@@ -454,8 +455,8 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
         if not 1 <= bump <= n:
             raise GraphError(f"bump position {bump} out of range 1..{n}")
         b0, b1 = 2 * (n + 1), 2 * (n + 1) + 1
-        vertices[b0] = (Fraction(bump - 1), Fraction(-1))
-        vertices[b1] = (Fraction(bump), Fraction(-1))
+        vertices[b0] = (bump - 1, -1)
+        vertices[b1] = (bump, -1)
         edges += [(b0, b1), (2 * (bump - 1), b0), (2 * bump, b1)]
     return PlanarGraph(vertices, edges)
 

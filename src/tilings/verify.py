@@ -16,8 +16,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterator, Mapping, Optional
 
-from .complexes import (CubicalMatchingComplex, TilingFace,
-                        _edge_decomposition, build_complex)
+from .complexes import (CubicalMatchingComplex, TilingFace, build_complex,
+                        edge_decompositions)
 from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
                       affine_rank, apply_A, bareiss_rank,
                       catalan_identity_check, fibonacci,
@@ -396,14 +396,10 @@ def check_contractibility(corpus: Corpus, bounds: Bounds) -> Cases:
 def check_decomposition(corpus: Corpus, bounds: Bounds) -> Cases:
     for name, g in corpus.graphs():
         f_g = corpus.complex(name, g).f_vector()
-        for e in sorted(g.edges):
-            containing = [i for i, r in enumerate(g.regions)
-                          if e in r.edge_set]
-            if len(containing) != 1:
-                continue
-            report = _edge_decomposition(g, e, containing[0], f_g)
+        for report in edge_decompositions(g, f_g=f_g):
             yield None if report["ok"] else {
-                "fixture": name, "edge": list(e), "rows": report["rows"]}
+                "fixture": name, "edge": report["edge"],
+                "rows": report["rows"]}
 
 
 @_check("cube", "cube coordinates embed each complex into the cube: "

@@ -3,16 +3,20 @@
 Each computes something the package reads another way, by the plain
 definition: the face order by direct comparison (the package walks covers),
 a simplicial complex by keeping its maximal faces (the package lists facets
-directly), the boundary of a boundary, and the weak dual of a drawing (the
-package builds only its induced subgraphs, in ``matched_region_graph``).
+directly), the boundary of a boundary, the weak dual of a drawing (the
+package builds only its induced subgraphs, in ``matched_region_graph``),
+and the vertex centroid as a Fraction point (the package tests it as an
+int point in the polygon scaled by its vertex count).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from fractions import Fraction
+from typing import Sequence, Union
 
 from tilings.complexes import CubicalMatchingComplex, TilingFace
+from tilings.geometry import Point
 from tilings.planar import PlanarGraph
 from tilings.topology import SimplicialComplex, _cells_and_boundaries
 
@@ -76,3 +80,10 @@ def weak_dual(g: PlanarGraph) -> DualGraph:
     return DualGraph(tuple(range(len(rs))), frozenset(
         (i, j) for i in range(len(rs)) for j in range(i + 1, len(rs))
         if not rs[i].edge_set.isdisjoint(rs[j].edge_set)))
+
+
+def vertex_centroid(poly: Sequence[Point]) -> Point:
+    """Average of the polygon's vertices, as Fractions."""
+    n = len(poly)
+    return (Fraction(sum(q[0] for q in poly), n),
+            Fraction(sum(q[1] for q in poly), n))

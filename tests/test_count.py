@@ -26,11 +26,10 @@ from test_matchings import polyominoes
 from test_planar import deletions
 from tilings import complexes
 from tilings.cli import main
-from tilings.complexes import (TilingFace, _count_without,
-                               _edge_decomposition, build_complex,
-                               count_f_vector, verify_edge_decomposition)
+from tilings.complexes import (TilingFace, build_complex, count_f_vector,
+                               edge_decompositions, verify_edge_decomposition)
 from tilings.fixtures import core_fixture_names, named_fixture
-from tilings.matchings import count_tilings
+from tilings.matchings import _search_plan, count_on_plan, count_tilings
 from tilings.planar import graph_from_cells
 
 
@@ -124,19 +123,32 @@ def enumerated_f_vector(g):
     return build_complex(g).f_vector()
 
 
-def enumerated_without(g, vertices, edge=None):
-    """The f-vector of the sub-embedding without ``vertices`` and ``edge``,
-    by enumeration: the reference of ``_count_without``."""
-    return enumerated_f_vector(g.subgraph(
-        remove_vertices=vertices, remove_edges=[edge] if edge else []))
+def enumerating_counter(calls):
+    """A stand-in for ``complexes._counter_without`` that enumerates each
+    subgraph's complex, and logs each count in ``calls``."""
+    def counter(g, holding):
+        def count(vertices=(), edge=None):
+            calls.append((tuple(vertices), edge))
+            return enumerated_f_vector(g.subgraph(
+                remove_vertices=vertices,
+                remove_edges=[edge] if edge else []))
+        return count
+    return counter
 
 
 @settings(max_examples=150, deadline=None)
 @given(deletions())
 def test_counts_without_match_subgraph_counts(case):
+    # Counting on the plan of g with the vertices covered from the start and
+    # the edge and its regions dropped counts the subgraph.
     g, rv, re = case
     edge = min(re, default=None)
-    assert _count_without(g, frozenset(rv), edge) == count_f_vector(
+    plan = _search_plan(g.vertex_ids, g.adj,
+                        [(i, r.cycle) for i, r in enumerate(g.regions)
+                         if r.parity == "even"])
+    start = sum(1 << i for i, v in enumerate(g.vertex_ids) if v in rv)
+    labels = [i for i, r in enumerate(g.regions) if edge in r.edge_set]
+    assert count_on_plan(plan, start, edge, labels) == count_f_vector(
         g.subgraph(remove_vertices=rv, remove_edges=[edge] if edge else []))
 
 
@@ -145,13 +157,20 @@ def test_counts_without_match_subgraph_counts(case):
 def test_decomposition_reports_match_enumeration(name, monkeypatch):
     g = named_fixture(name)
     f_g = enumerated_f_vector(g)
-    edges = [(e, rs[0]) for e in sorted(g.edges)
-             if len(rs := [i for i, r in enumerate(g.regions)
-                           if e in r.edge_set]) == 1]
-    assert edges
-    counted = [_edge_decomposition(g, e, r, f_g) for e, r in edges]
-    monkeypatch.setattr(complexes, "_count_without", enumerated_without)
-    assert counted == [_edge_decomposition(g, e, r, f_g) for e, r in edges]
+    counted = edge_decompositions(g, f_g=f_g)
+    # Every edge of g that lies in exactly one region, in order.
+    assert [r["edge"] for r in counted] == [
+        list(e) for e in sorted(g.edges)
+        if sum(e in r.edge_set for r in g.regions) == 1]
+    assert counted
+    calls = []
+    monkeypatch.setattr(complexes, "_counter_without",
+                        enumerating_counter(calls))
+    assert counted == edge_decompositions(g, f_g=f_g)
+    # Each term came from the enumeration: two for each edge and one for
+    # each even region holding one.
+    evens = {r["region"] for r in counted if r["region_parity"] == "even"}
+    assert len(calls) == 2 * len(counted) + len(evens)
 
 
 # -- no faces built ----------------------------------------------------------
@@ -200,11 +219,9 @@ def test_counting_builds_no_faces(monkeypatch, capsys):
         build_complex(g)
     assert count_f_vector(g) == [5, 5, 1]
     assert count_tilings(g.vertex_ids, g.adj) == [5]
-    e = next(e for e in sorted(g.edges)
-             if sum(e in r.edge_set for r in g.regions) == 1)
-    r = next(i for i, region in enumerate(g.regions) if e in region.edge_set)
-    assert _edge_decomposition(g, e, r, [5, 5, 1])["ok"]
-    assert verify_edge_decomposition(g, e)["ok"]
+    reports = edge_decompositions(g, f_g=[5, 5, 1])
+    assert reports and all(r["ok"] for r in reports)
+    assert verify_edge_decomposition(g, reports[0]["edge"])["ok"]
     assert main(["count", "g2"]) == 0
     assert "f_vector: [5, 5, 1]" in capsys.readouterr().out
 

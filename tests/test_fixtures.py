@@ -9,6 +9,7 @@ from tilings.fixtures import (_has_perfect_matching, canonical_form,
                               is_simply_connected,
                               iter_fixture_graphs, named_fixture,
                               polyomino_zoo, random_quad_glued)
+from tilings.matchings import matchings_of_adjacency
 from tilings.planar import cells_connected, graph_from_cells
 
 
@@ -212,6 +213,21 @@ def hopcroft_karp_tileable(cells):
 def test_tileability_matches_hopcroft_karp(n):
     for cells in free_polyominoes(n):
         assert _has_perfect_matching(cells) == hopcroft_karp_tileable(cells)
+
+
+def test_colour_count_rejects_only_untileable_shapes():
+    # The search alone, with no colour count in front of it, decides every
+    # free polyomino of at most 10 cells the same way.
+    rejected = 0
+    for n in range(1, 11):
+        for cells in free_polyominoes(n):
+            adj = {(r, c): [nb for nb in ((r - 1, c), (r, c - 1), (r, c + 1),
+                                          (r + 1, c)) if nb in cells]
+                   for r, c in cells}
+            searched = bool(matchings_of_adjacency(sorted(cells), adj))
+            assert _has_perfect_matching(cells) == searched
+            rejected += 2 * sum((r + c) % 2 for r, c in cells) != n
+    assert rejected
 
 
 def test_zoo_grows_with_bound():

@@ -1,14 +1,15 @@
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilings.fixtures import named_fixture
+from reference import vertex_centroid
+from tilings.fixtures import iter_fixture_graphs, named_fixture
 from tilings.geometry import (angle_less, as_point, interior_point,
                               on_segment, orientation, point_in_polygon,
-                              ray_crosses, segments_intersect, signed_area2,
-                              vertex_centroid)
+                              ray_crosses, segments_intersect, signed_area2)
 
 F = Fraction
 
@@ -108,15 +109,61 @@ def test_points_on_integer_polygons_are_exact(name, poly):
     assert interior_point(rational) == (q[0] / k, q[1] / k)
 
 
+coord = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+def assert_old_point(poly):
+    """interior_point(poly) is the point it gave when it tested the vertex
+    centroid as a Fraction point: that centroid when it lies inside, and
+    otherwise a point of the ear fallback, which did not change (or its
+    ValueError, on a polygon where no ear gives an inside point)."""
+    c = vertex_centroid(poly)
+    if point_in_polygon(c, poly) == 1:
+        q = interior_point(poly)
+        assert q == c and all(type(x) is F for x in q)
+    else:
+        with suppress(ValueError):
+            assert interior_point(poly) != c
+
+
+def test_interior_points_of_the_corpora_are_unchanged():
+    polys = {tuple(g.lattice[v] for v in r.cycle)
+             for seed in (0, 201) for _, g in iter_fixture_graphs(seed=seed)
+             for r in g.regions}
+    for poly in polys:
+        assert_old_point(poly)
+    # Both branches are met: 67 distinct polygons, 2 of them non-convex
+    # with the vertex centroid outside.
+    outside = [p for p in polys
+               if point_in_polygon(vertex_centroid(p), p) != 1]
+    assert outside and len(outside) < len(polys)
+
+
+lattice = st.integers(-6, 6)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(lattice, lattice), min_size=3, max_size=8,
+                unique=True)
+       | st.lists(st.tuples(coord, coord), min_size=3, max_size=8,
+                  unique=True))
+def test_interior_point_on_any_polygon_is_unchanged(poly):
+    assert_old_point(poly)
+
+
+def test_as_point_keeps_only_plain_ints():
+    assert [type(c) for c in as_point(3, -2)] == [int, int]
+    for x in (True, F(3), "3/4", F(1, 2)):
+        p = as_point(x, x)
+        assert [type(c) for c in p] == [F, F] and p == (F(x), F(x))
+
+
 def test_angle_less_total_order():
     dirs = [P(1, 0), P(1, 1), P(0, 1), P(-1, 1), P(-1, 0),
             P(-1, -1), P(0, -1), P(1, -1)]
     for i in range(len(dirs)):
         for j in range(len(dirs)):
             assert angle_less(dirs[i], dirs[j]) == (i < j)
-
-
-coord = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
 
 @given(coord, coord, coord, coord, coord, coord)

@@ -142,6 +142,20 @@ class TestPolyomino:
         assert nx.is_isomorphic(abstract(g), abstract(build_ladder(n)))
 
 
+@pytest.mark.parametrize("g", [
+    graph_from_cells({(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (-1, 1)}),
+    build_ladder(4), build_ladder(3, bump=2)])
+def test_int_drawing_equals_fraction_drawing(g):
+    # The builders pass ints; the same drawing in Fractions gives the same
+    # lattice, scale, positions and JSON.
+    assert all(type(c) is int for p in g.lattice.values() for c in p)
+    h = PlanarGraph({v: (Fraction(x), Fraction(y))
+                     for v, (x, y) in g.coords.items()}, g.edges)
+    assert (g.scale, g.lattice, g.coords, g.to_json_obj()) == (
+        h.scale, h.lattice, h.coords, h.to_json_obj())
+    assert all(type(c) is Fraction for p in g.coords.values() for c in p)
+
+
 class TestLadder:
     def test_counts(self):
         for n in range(1, 9):
