@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import tilings
 from test_complexes import simply_connected_polyominoes
@@ -30,7 +30,7 @@ from tilings.complexes import (TilingFace, build_complex, count_f_vector,
                                edge_decompositions, verify_edge_decomposition)
 from tilings.fixtures import core_fixture_names, named_fixture
 from tilings.matchings import _search_plan, count_on_plan, count_tilings
-from tilings.planar import graph_from_cells
+from tilings.planar import build_ladder, graph_from_cells
 
 
 def assert_counts_match(g):
@@ -138,6 +138,8 @@ def enumerating_counter(calls):
 
 @settings(max_examples=150, deadline=None)
 @given(deletions())
+# The bottom edge of the first square holds its region, which must go too.
+@example((build_ladder(4), set(), {(0, 2)}))
 def test_counts_without_match_subgraph_counts(case):
     # Counting on the plan of g with the vertices covered from the start and
     # the edge and its regions dropped counts the subgraph.

@@ -144,7 +144,8 @@ class TestPolyomino:
 
 @pytest.mark.parametrize("g", [
     graph_from_cells({(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (-1, 1)}),
-    build_ladder(4), build_ladder(3, bump=2)])
+    build_ladder(4), build_ladder(3, bump=2)],
+    ids=["cells", "ladder-4", "ladder-3-2"])
 def test_int_drawing_equals_fraction_drawing(g):
     # The builders pass ints; the same drawing in Fractions gives the same
     # lattice, scale, positions and JSON.
