@@ -8,6 +8,8 @@ enumeration doubles as the correctness oracle for everything downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
                     Sequence)
 
@@ -31,17 +33,20 @@ class TilingFace(NamedTuple):
 
 
 class CubicalMatchingComplex:
-    """Faces of the cubical complex of ``graph``, in the order given:
-    :func:`build_complex` gives them in the order of
-    :meth:`TilingFace.sort_key`, so by dimension first, and components keep
-    that order.
+    """Faces of the cubical complex of ``graph``, sorted stably by dimension:
+    within one they keep the order given, which :func:`build_complex` makes
+    that of :meth:`TilingFace.sort_key`.  Its readers rely on this order:
+    ``dim``, ``f_vector``, ``vertices`` and ``connected_components`` read
+    runs of it, ``topology`` slices cells by dimension, and ``verify``
+    meets each face's facets before the face.
 
     ``_index`` maps each face to its position; a face equals its (edge set,
     cycles) pair, so that pair finds it with no ``TilingFace`` built."""
 
     def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace]):
         self.graph = graph
-        self.faces: tuple[TilingFace, ...] = tuple(faces)
+        self.faces: tuple[TilingFace, ...] = tuple(
+            sorted(faces, key=attrgetter("dim")))
         self._index = {f: i for i, f in enumerate(self.faces)}
 
     def __len__(self) -> int:
@@ -56,10 +61,14 @@ class CubicalMatchingComplex:
 
     @property
     def dim(self) -> int:
-        return max((f.dim for f in self.faces), default=-1)
+        return self.faces[-1].dim if self.faces else -1
+
+    def _start(self, d: int) -> int:
+        """The position of the first face of dimension at least d."""
+        return bisect_left(self.faces, d, key=attrgetter("dim"))
 
     def vertices(self) -> list[TilingFace]:
-        return [f for f in self.faces if f.dim == 0]
+        return list(self.faces[:self._start(1)])
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
         """The 2*dim faces covered by f, as stored in this complex: region r
@@ -73,10 +82,8 @@ class CubicalMatchingComplex:
         return out
 
     def f_vector(self) -> list[int]:
-        counts = [0] * (self.dim + 1)
-        for f in self.faces:
-            counts[f.dim] += 1
-        return counts
+        starts = [self._start(d) for d in range(self.dim + 2)]
+        return [b - a for a, b in zip(starts, starts[1:])]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * c for i, c in enumerate(self.f_vector()))
@@ -88,10 +95,9 @@ class CubicalMatchingComplex:
         Each face is a cube, so it lies in the component of every vertex
         below it: the components are those of the 1-skeleton, found by a
         union-find over the vertices, keyed by matching."""
-        regions = self.graph.regions
-        vertex = {f.matching: i for i, f in
-                  enumerate(f for f in self.faces if not f.cycles)}
-        parent = list(range(len(vertex)))
+        regions, one, two = self.graph.regions, self._start(1), self._start(2)
+        vertex = {f.matching: i for i, f in enumerate(self.faces[:one])}
+        parent = list(range(one))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -100,15 +106,14 @@ class CubicalMatchingComplex:
             return i
 
         # Each 1-face joins the two vertices that release its region.
-        count = len(parent)
-        for f in self.faces:
-            if len(f.cycles) == 1:
-                [r] = f.cycles
-                a, b = (find(vertex[f.matching | alt])
-                        for alt in regions[r].alternations)
-                if a != b:
-                    parent[a] = b
-                    count -= 1
+        count = one
+        for f in self.faces[one:two]:
+            [r] = f.cycles
+            a, b = (find(vertex[f.matching | alt])
+                    for alt in regions[r].alternations)
+            if a != b:
+                parent[a] = b
+                count -= 1
         if count == 1:
             return [self]
         # A face reaches a vertex by releasing each of its regions into its

@@ -220,15 +220,17 @@ class PlanarGraph:
         rotation = {v: self._rotation(v) for v in self.lattice}
         index = {v: {u: i for i, u in enumerate(rot)}
                  for v, rot in rotation.items()}
-        unused = {(u, v) for u, v in self.edges} | {(v, u) for u, v in self.edges}
+        # Each walk starts at the least dart not yet walked.
+        used: set[tuple[int, int]] = set()
         faces = []
-        while unused:
-            start = min(unused)
+        for start in sorted([*self.edges, *((v, u) for u, v in self.edges)]):
+            if start in used:
+                continue
             walk = []
             u, v = start
             while True:
                 walk.append(u)
-                unused.discard((u, v))
+                used.add((u, v))
                 rot = rotation[v]
                 u, v = v, rot[(index[v][u] - 1) % len(rot)]
                 if (u, v) == start:
@@ -248,6 +250,9 @@ class PlanarGraph:
 
     def _bounded_simple_faces(self, faces: list[tuple[int, ...]],
                               comp: Mapping[int, int]) -> list[Region]:
+        points: dict[int, list[LatticePoint]] = {}
+        for w, p in self.lattice.items():
+            points.setdefault(comp[w], []).append(p)
         regions = []
         for walk in faces:
             if len(set(walk)) != len(walk):
@@ -260,7 +265,7 @@ class PlanarGraph:
             c = comp[walk[0]]
             enclosed = any(
                 point_in_polygon(p, poly) == 1
-                for w, p in self.lattice.items() if comp[w] != c)
+                for d, ps in points.items() if d != c for p in ps)
             if enclosed:
                 continue
             regions.append(Region(walk))

@@ -31,10 +31,6 @@ class SimplicialComplex:
                 stack.append(f - {v})
         return sorted(out, key=lambda f: (len(f), sorted(f, key=repr)))
 
-    @property
-    def dim(self) -> int:
-        return max((len(f) - 1 for f in self.facets), default=-1)
-
 
 def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
     """Complex of the independent vertex sets of a graph given by neighbours,
@@ -159,7 +155,8 @@ def z2_betti(c: Union[SimplicialComplex, CubicalMatchingComplex]
 
 
 def _betti(dims: list[int], facets: list[list[int]]) -> tuple[int, ...]:
-    """Z/2 Betti numbers of a face poset, its cells in order of dimension."""
+    """Z/2 Betti numbers of a face poset, its cells in order of dimension as
+    every complex keeps them, so that each dimension is one slice."""
     if not dims:
         return ()
     top = dims[-1]
@@ -218,7 +215,7 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
     Greedy lowest-dimension-first with seeded randomized restarts, plus
     exhaustive backtracking over at most ``budget`` states for complexes
     with at most 64 cells.  Obstructions (disconnected, nonzero reduced Z/2
-    homology, Euler != 1) short-circuit to a negative verdict.
+    homology) short-circuit to a negative verdict.
 
     The live cells always form a subcomplex, so a live cell is free (has
     exactly one live proper coface) iff it has exactly one live cover: a
@@ -235,9 +232,6 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
     if betti != (1,):
         return CollapseVerdict("not_collapsible",
                                reason=f"nonzero reduced Z/2 homology {betti}")
-    euler = sum((-1) ** d for d in dims)
-    if euler != 1:
-        return CollapseVerdict("not_collapsible", reason=f"Euler {euler} != 1")
     covers = _covers(facets)
 
     def greedy(rng: Optional[random.Random]) -> Optional[list[tuple]]:
@@ -272,7 +266,7 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
         rng = random.Random(f"{seed}/{attempt}")
 
     if len(cells) <= 64:
-        cert, complete = _exhaustive_collapse(cells, facets, budget)
+        cert, complete = _exhaustive_collapse(cells, covers, budget)
         if cert is not None:
             return CollapseVerdict("collapsible", certificate=cert, seed=seed)
         if complete:
@@ -282,12 +276,12 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
                            reason="budget exhausted", seed=seed)
 
 
-def _exhaustive_collapse(cells: list, facets: list[list[int]], budget: int
+def _exhaustive_collapse(cells: list, covers: list[list[int]], budget: int
                          ) -> tuple[Optional[list[tuple]], bool]:
     """Depth-first search over the sets of live cells (as bit masks), each
-    visited at most once and at most ``budget`` of them.  Returns a
-    certificate or None, and whether the search was complete."""
-    covers = _covers(facets)
+    visited at most once and at most ``budget`` of them, given the covers
+    of each cell (:func:`_covers`).  Returns a certificate or None, and
+    whether the search was complete."""
     seen: set[int] = set()
     complete = True
 

@@ -8,6 +8,7 @@ scan over every pair of faces.
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,15 @@ from hypothesis import strategies as st
 
 import tilings
 from reference import face_leq, from_faces
-from tilings.complexes import TilingFace, build_complex
+from tilings.complexes import (CubicalMatchingComplex, TilingFace,
+                               build_complex)
 from tilings.fixtures import (core_fixture_names, figure_counterexample,
                               figure_g1, figure_g2, figure_g3, named_fixture,
                               triangular_prism)
 from tilings.matchings import enumerate_perfect_matchings
-from tilings.planar import (Region, cells_connected, edge_key,
+from tilings.planar import (Region, build_ladder, cells_connected, edge_key,
                             graph_from_cells)
-from tilings.topology import link_of_face
+from tilings.topology import collapse_search, link_of_face, z2_betti
 from tilings.verify import _vertices_below
 
 FIGURES = [figure_g1, figure_g2, figure_g3, figure_counterexample,
@@ -179,6 +181,49 @@ def test_components_in_order_on_figures(build):
     assert_components_in_order(build())
 
 
+# -- the complex owns its order of dimension -----------------------------------
+
+
+def assert_order_is_owned(k, rng):
+    """Rebuilt from its faces in a random order, k reads the same: the faces
+    go back into order of dimension, keeping the given order within one."""
+    faces = list(k.faces)
+    rng.shuffle(faces)
+    p = CubicalMatchingComplex(k.graph, faces)
+    assert p.faces == tuple(sorted(faces, key=lambda f: f.dim))
+    assert (p.dim, p.f_vector()) == (k.dim, k.f_vector())
+    assert sorted(p.vertices(), key=TilingFace.sort_key) == k.vertices()
+    assert z2_betti(p) == z2_betti(k)
+    assert collapse_search(p).status == collapse_search(k).status
+    comps = [c.f_vector() for c in k.connected_components()]
+    assert sorted(c.f_vector() for c in p.connected_components()) == \
+        sorted(comps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grown(), st.randoms(use_true_random=False))
+def test_order_is_owned_on_polyominoes(cells, rng):
+    assert_order_is_owned(build_complex(graph_from_cells(set(cells))), rng)
+
+
+@pytest.mark.parametrize("build", FIGURES)
+def test_order_is_owned_on_figures(build):
+    k = build_complex(build())
+    for seed in range(5):
+        assert_order_is_owned(k, random.Random(seed))
+
+
+def test_reversed_and_shuffled_ladder_3():
+    k = build_complex(build_ladder(3))
+    shuffled = list(k.faces)
+    random.Random(1).shuffle(shuffled)
+    for faces in (reversed(k.faces), shuffled):
+        p = CubicalMatchingComplex(k.graph, faces)
+        assert z2_betti(p) == (1,)
+        assert collapse_search(p).status == "collapsible"
+        assert p.f_vector() == [5, 5, 1]
+
+
 # -- the vertices are the perfect matchings, in order -----------------------------
 
 
@@ -231,7 +276,8 @@ def references(tree, name):
 # the package defines, imports, calls or exports them.
 TEST_ONLY = ["face_leq", "from_faces", "boundary_of_boundary_vanishes",
              "weak_dual", "DualGraph", "symmetric_difference_cycles",
-             "CycleDecomposition", "region_order", "max_regions"]
+             "CycleDecomposition", "region_order", "max_regions",
+             "max_faces"]
 
 
 def test_reference_names_stay_out_of_the_package():

@@ -6,7 +6,9 @@ core fixture and for polyomino files of rectangles larger than any of them.
 A refactor that changes any byte of that output fails here; the tables
 change only with an intended change of output.  ``SHAPE_DIGESTS`` pins the
 corpus shapes themselves: names and sorted cells of the polyomino zoo and
-of two seeds of random shapes.
+of two seeds of random shapes.  ``VERIFY_DIGEST``, ``DUMP_DIGEST`` and
+``TABLE_DIGESTS`` pin the output of ``verify``, the files of ``fixtures
+dump`` and the table output of ``count`` and ``complex``.
 """
 
 import hashlib
@@ -142,6 +144,24 @@ SHAPE_DIGESTS = {
         "4b69b52f886179e0b27a4a341bfa211c7f33e864d66bcfe5a0fb6c4d4b900c64",
 }
 
+# SHA-256 of ``tilings verify --format json`` with the default bounds.
+VERIFY_DIGEST = \
+    "ba3c4dc98002453c1f491535cb1ed0ee784421d20a255ff2d1bd84ae4e7d1730"
+
+# SHA-256 over the files that ``fixtures dump`` writes, in order of name:
+# each file's name, a newline, then its bytes.
+DUMP_DIGEST = \
+    "147ca19f6bc8ed75b3a0faa5ca59898bbbe0faea8262671a736db2383b05cced"
+
+# SHA-256 over the table output of the command on each core fixture, in
+# order of name.
+TABLE_DIGESTS = {
+    ("count",):
+        "687017b13378a961017bd0abb9d836e92b0fd02fb9f4214c5161fa454c2edf29",
+    ("complex", "--betti", "--collapse", "--cube"):
+        "a4c03de64f6e21e02887b493f76e4d7e88230be55e93450bddf3afab471ac0e9",
+}
+
 
 def test_table_covers_the_core_fixtures():
     assert sorted(DIGESTS) == sorted(core_fixture_names())
@@ -177,3 +197,32 @@ def test_corpus_shapes_digest(which):
     text = repr([(name, sorted(cells)) for name, cells in shapes])
     assert (hashlib.sha256(text.encode()).hexdigest()
             == SHAPE_DIGESTS[which])
+
+
+def test_verify_output_digest(capsys):
+    code = main(["verify", "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
+
+
+def test_fixtures_dump_digest(capsys, tmp_path):
+    assert main(["fixtures", "dump", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == len(core_fixture_names())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == DUMP_DIGEST
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_DIGESTS),
+                         ids=lambda command: command[0])
+def test_table_output_digest(capsys, command):
+    digest = hashlib.sha256()
+    for name in sorted(core_fixture_names()):
+        assert main([command[0], name, *command[1:]]) == 0
+        out, _ = capsys.readouterr()
+        digest.update(out.encode())
+    assert digest.hexdigest() == TABLE_DIGESTS[command]

@@ -12,8 +12,8 @@ from tilings.complexes import CubicalMatchingComplex, build_complex
 from tilings.fixtures import figure_counterexample, triangular_prism
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
                             build_ladder)
-from tilings.topology import (_cells_and_boundaries, _exhaustive_collapse,
-                              _gf2_rank, collapse_search,
+from tilings.topology import (_cells_and_boundaries, _covers,
+                              _exhaustive_collapse, _gf2_rank, collapse_search,
                               independence_complex, kozlov_reference_betti,
                               link_of_face, matched_region_graph, z2_betti)
 from tilings.verify import _vertices_below
@@ -325,7 +325,8 @@ class TestCollapseCertificates:
     def test_exhaustive_search_on_ladder_2(self):
         k = build_complex(build_ladder(2))
         cells, _, facets = _cells_and_boundaries(k)
-        certificate, complete = _exhaustive_collapse(cells, facets, 20000)
+        certificate, complete = _exhaustive_collapse(cells, _covers(facets),
+                                                     20000)
         assert complete
         replay(certificate, *cubical(k))
 

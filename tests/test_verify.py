@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import face_leq
-from tilings import verify
+from tilings import topology, verify
 from tilings.complexes import CubicalMatchingComplex, build_complex
 from tilings.planar import build_ladder
-from tilings.topology import independence_complex, matched_region_graph
+from tilings.topology import (independence_complex, matched_region_graph,
+                              z2_betti)
 from tilings.verify import (CHECKS, Bounds, CheckResult, Corpus, _bipartite,
-                            check_counterexample, check_cube, check_euler,
-                            check_kozlov, run_verification)
+                            check_contractibility, check_counterexample,
+                            check_cube, check_euler, check_kozlov,
+                            run_verification)
 
 SMALL = Bounds(max_ladder=3, max_cells=4, random_count=2)
 
@@ -74,6 +76,45 @@ def test_corrupted_complex_fails_euler():
     assert result.witness == {"fixture": "ladder-3", "f_vector": [5, 5],
                               "components": 1}
     assert result.checked == 11
+
+
+def test_contractibility_names_a_hollow_component():
+    # ladder-3 without its 2-face is a hollow square: put it after the
+    # fixture's own component, and the one collapse search reports its
+    # Betti numbers.
+    corpus = Corpus(SMALL)
+    graphs = corpus.graphs()
+    idx = next(i for i, (name, _) in enumerate(graphs) if name == "ladder-3")
+    name, g = graphs[idx]
+    hollow = CubicalMatchingComplex(g, corpus.complex(name, g).faces[:-1])
+    assert z2_betti(hollow) == (1, 1)
+    corpus._components[name] = [*corpus.components(name, g), hollow]
+    result = check_contractibility(corpus, SMALL)
+    assert not result.passed
+    assert result.witness == {
+        "fixture": "ladder-3", "verdict": "not_collapsible",
+        "reason": "nonzero reduced Z/2 homology (1, 1)"}
+    assert result.checked == 2 + sum(
+        len(corpus.components(n, h)) for n, h in graphs[:idx])
+
+
+def test_contractibility_builds_each_poset_once(monkeypatch):
+    calls = []
+    original = topology._cells_and_boundaries
+    monkeypatch.setattr(topology, "_cells_and_boundaries",
+                        lambda c: calls.append(c) or original(c))
+
+    def no_betti(c):
+        raise AssertionError("z2_betti called")
+
+    monkeypatch.setattr(topology, "z2_betti", no_betti)
+    monkeypatch.setattr(verify, "z2_betti", no_betti)
+    corpus = Corpus(SMALL)
+    comps = [c for name, g in corpus.graphs()
+             for c in corpus.components(name, g)]
+    result = check_contractibility(corpus, SMALL)
+    assert result.passed and result.checked == len(comps)
+    assert calls == comps
 
 
 def test_corpus_computes_components_once(monkeypatch):
