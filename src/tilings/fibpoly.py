@@ -12,6 +12,9 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
+from .complexes import count_f_vector
+from .planar import build_ladder
+
 
 class Poly:
     """Dense integer polynomial in one variable; immutable, canonical
@@ -105,19 +108,13 @@ X = Poly([0, 1])
 ONE = Poly([1])
 
 
-@lru_cache(maxsize=None)
 def catalan(m: int) -> int:
-    if m == 0:
-        return 1
-    return sum(catalan(j) * catalan(m - 1 - j) for j in range(m))
+    return comb(2 * m, m) // (m + 1)
 
 
 @lru_cache(maxsize=None)
 def _ladder_f_base(n: int, bump: Optional[int]) -> Poly:
     """f-polynomial of a small ladder complex, counted by the tiling search."""
-    from .complexes import count_f_vector
-    from .planar import build_ladder
-
     if n == 0:
         return ONE
     return Poly(count_f_vector(build_ladder(n, bump=bump)))
@@ -126,7 +123,9 @@ def _ladder_f_base(n: int, bump: Optional[int]) -> Poly:
 @lru_cache(maxsize=None)
 def f_polynomial(n: int, bump: Optional[int] = None) -> Poly:
     """The f-polynomial of the n-square ladder complex (optionally bumped at
-    position ``bump``), by the two-step recurrence from enumerated bases."""
+    position ``bump``): counted at two bases, and above them F(n-1) +
+    (1+x) F(n-2), read from this cache.  The cache fills upward, so no call
+    nests two deep; reads use one key form, ``(m, bump)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if bump is not None and not 1 <= bump <= n:
@@ -136,20 +135,19 @@ def f_polynomial(n: int, bump: Optional[int] = None) -> Poly:
     lo = 0 if bump is None else bump
     if n <= lo + 1:
         return _ladder_f_base(n, bump)
-    prev, cur = _ladder_f_base(lo, bump), _ladder_f_base(lo + 1, bump)
-    for _ in range(lo + 2, n + 1):
-        prev, cur = cur, cur + Poly([1, 1]) * prev
-    return cur
-
-
-def p_polynomial(n: int, bump: Optional[int] = None) -> Poly:
-    """Shifted f-polynomial p(x) = f(x-1)."""
-    return p_raw(n, bump)
+    for m in range(lo + 2, n):
+        f_polynomial(m, bump)
+    return f_polynomial(n - 1, bump) + Poly([1, 1]) * f_polynomial(n - 2, bump)
 
 
 @lru_cache(maxsize=None)
-def p_raw(n: int, bump: Optional[int] = None) -> Poly:
+def p_polynomial(n: int, bump: Optional[int] = None) -> Poly:
+    """Shifted f-polynomial p(x) = f(x-1)."""
     return f_polynomial(n, bump).substitute_x_minus_1()
+
+
+# perfbench's tracer wraps fibpoly:p_raw; drop with that (ROADMAP item 0).
+p_raw = p_polynomial
 
 
 def p_closed_form(n: int) -> Poly:
@@ -162,18 +160,16 @@ def p_closed_form(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _a_of_one(d: int) -> Poly:
-    """Image of the constant 1 under the degree-d map, from the recursive
-    definition (not the Catalan closed form, which is checked against it).
-    The cache is filled upward from d = 0, so no call nests two deep."""
+    """A_d(1), from the definition A_d(P_(2d-1)) = P_(2d+1), not from the
+    Catalan closed form checked against it.  As P_n(0) = 1, P_(2d-1) - 1 has
+    no constant term, so ``apply_A``, which skips zero coefficients, reads
+    only A_e(1) for e < d, filled upward first so no call nests two deep."""
     if d == 0:
         return Poly([1, 2])
     for e in range(d):
         _a_of_one(e)
-    p = p_raw(2 * d - 1) - ONE
-    acc = p_raw(2 * d + 1)
-    for k in range(1, len(p.coeffs)):
-        acc = acc - _a_of_one(d - k).shift(k) * p[k]
-    return acc
+    return (p_polynomial(2 * d + 1, None)
+            - apply_A(d, p_polynomial(2 * d - 1, None) - ONE))
 
 
 def apply_A(d: int, p: Poly) -> Poly:

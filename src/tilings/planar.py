@@ -434,7 +434,8 @@ def graph_from_cells(cells: set[tuple[int, int]]) -> PlanarGraph:
         for nb in ((r, c + 1), (r + 1, c)):
             if nb in ids:
                 edges.append((i, ids[nb]))
-    return PlanarGraph(vertices, edges)
+    # Unit segments between 4-adjacent lattice points cannot cross.
+    return PlanarGraph(vertices, edges, check_crossings=False)
 
 
 def build_from_polyomino(grid_text: str) -> PlanarGraph:
@@ -463,7 +464,8 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
         vertices[b0] = (bump - 1, -1)
         vertices[b1] = (bump, -1)
         edges += [(b0, b1), (2 * (bump - 1), b0), (2 * bump, b1)]
-    return PlanarGraph(vertices, edges)
+    # Unit segments between 4-adjacent lattice points cannot cross.
+    return PlanarGraph(vertices, edges, check_crossings=False)
 
 
 # -- edge classification, reduction ---------------------------------------------
@@ -487,19 +489,17 @@ def classify_edges(g: PlanarGraph) -> EdgeClassification:
 
 
 def reduce_graph(g: PlanarGraph) -> PlanarGraph:
-    """Delete forbidden edges, and forced edges with their endpoints, until
-    every remaining edge is free.  Regions of the result are exactly the
-    surviving regions of the input: faces created by the deletions cannot be
-    used in any tiling and are excluded."""
-    current = g
-    while True:
-        cls = classify_edges(current)
-        if not cls.has_perfect_matching:
-            raise GraphError("graph has no perfect matching")
-        forbidden = [e for e, s in cls.status.items() if s == "forbidden"]
-        forced = [e for e, s in cls.status.items() if s == "forced"]
-        if not forbidden and not forced:
-            return current
-        current = current.subgraph(
-            remove_vertices={v for e in forced for v in e},
-            remove_edges=forbidden)
+    """Delete forbidden edges, and forced edges with their endpoints.  Every
+    perfect matching holds all forced edges and no forbidden one, so one pass
+    leaves only free edges.  Regions of the result are exactly the surviving
+    regions of the input: faces created by the deletions cannot be used in
+    any tiling and are excluded."""
+    cls = classify_edges(g)
+    if not cls.has_perfect_matching:
+        raise GraphError("graph has no perfect matching")
+    forbidden = [e for e, s in cls.status.items() if s == "forbidden"]
+    forced = [e for e, s in cls.status.items() if s == "forced"]
+    if not forbidden and not forced:
+        return g
+    return g.subgraph(remove_vertices={v for e in forced for v in e},
+                      remove_edges=forbidden)

@@ -22,7 +22,7 @@ from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
                       affine_rank, apply_A, bareiss_rank,
                       catalan_identity_check, fibonacci,
                       multiset_no_consecutive_count, p_closed_form,
-                      p_polynomial, p_raw)
+                      p_polynomial)
 from .fixtures import figure_counterexample, iter_fixture_graphs
 from .matchings import Matching, cube_coordinates
 from .planar import PlanarGraph, reduce_graph
@@ -252,16 +252,18 @@ def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
     for d in range(1, bounds.max_d + 1):
         # Each step is one case: A_a maps P_n to P_(n+2).
         for a, n in ((d, 2 * d - 1), (d, 2 * d), (d + 1, 2 * d)):
-            yield None if apply_A(a, p_raw(n)) == p_raw(n + 2) else {
-                "part": "ladder-step", "d": d}
+            yield None if apply_A(a, p_polynomial(n)) == \
+                p_polynomial(n + 2) else {"part": "ladder-step", "d": d}
         for i in range(1, d // 2 + 1):
             for n in (2 * d - 1, 2 * d):
-                yield None if apply_A(d, p_raw(n, i)) == p_raw(n + 2, i) \
-                    else {"part": "bumped-step", "d": d, "i": i}
+                yield None if apply_A(d, p_polynomial(n, i)) == \
+                    p_polynomial(n + 2, i) else {
+                        "part": "bumped-step", "d": d, "i": i}
     for d in range(2, bounds.max_d + 1):
         want = (X.shift(d) + X.shift(d - 1)) * (-1) ** (d + 1)
-        yield None if p_raw(2 * d + 1, d) - p_raw(2 * d + 1, d - 1) == want \
-            else {"part": "adjacent-bump-difference", "d": d}
+        diff = p_polynomial(2 * d + 1, d) - p_polynomial(2 * d + 1, d - 1)
+        yield None if diff == want else {
+            "part": "adjacent-bump-difference", "d": d}
     for n in range(1, 21):
         for k in range(1, n + 1):
             lhs, rhs, equal = catalan_identity_check(n, k)
@@ -279,8 +281,8 @@ def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
         "affine space of dimension exactly d")
 def check_affine(corpus: Corpus, bounds: Bounds) -> Cases:
     for d in range(2, 7):
-        polys = [p_raw(2 * d - 1), p_raw(2 * d)]
-        polys += [p_raw(2 * d - 1, i) for i in range(1, d)]
+        polys = [p_polynomial(2 * d - 1), p_polynomial(2 * d)]
+        polys += [p_polynomial(2 * d - 1, i) for i in range(1, d)]
         yield None if affine_rank(polys, d) == d else {
             "part": "ladder-family", "d": d}
     by_dim: dict[int, list[Poly]] = {}

@@ -89,6 +89,22 @@ class TestFPolynomials:
         # Far past the interpreter's recursion limit.
         assert f_polynomial(1200)(0) == fibonacci(1202)
 
+    def test_sweep_multiplies_once_per_step(self, monkeypatch):
+        # Each F(n) above the bases is one product of two cached values, so
+        # no lower F is computed again.
+        f_polynomial.cache_clear()
+        calls = []
+        mul = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        for n in range(1, 301):
+            f_polynomial(n, None)
+        assert len(calls) <= 300
+
 
 class TestPPolynomials:
     def test_small_values(self):
@@ -100,6 +116,9 @@ class TestPPolynomials:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_closed_form(self, n):
         assert p_polynomial(n) == p_closed_form(n)
+
+    def test_second_name_is_the_same_function(self):
+        assert p_raw is p_polynomial
 
     def test_closed_form_examples(self):
         assert p_closed_form(2) == Poly([1, 2])
@@ -126,14 +145,15 @@ class TestPPolynomials:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_plain_recurrence(self, n):
         # P_n = P_{n-1} + x P_{n-2}
-        assert p_polynomial(n) == p_raw(n - 1) + p_raw(n - 2).shift(1)
+        assert p_polynomial(n) == (
+            p_polynomial(n - 1) + p_polynomial(n - 2).shift(1))
 
     @pytest.mark.parametrize("bump", range(1, 9))
     def test_bumped_recurrence_same_bump(self, bump):
         # P_{n,b} = P_{n-1,b} + x P_{n-2,b} while the bump fits both
         for n in range(bump + 2, 15):
             assert p_polynomial(n, bump) == (
-                p_raw(n - 1, bump) + p_raw(n - 2, bump).shift(1))
+                p_polynomial(n - 1, bump) + p_polynomial(n - 2, bump).shift(1))
 
     @pytest.mark.parametrize("bump", range(3, 9))
     def test_bumped_recurrence_shifted_bump(self, bump):
@@ -141,7 +161,8 @@ class TestPPolynomials:
         # end, which moves the bump
         for n in range(bump, 15):
             assert p_polynomial(n, bump) == (
-                p_raw(n - 1, bump - 1) + p_raw(n - 2, bump - 2).shift(1))
+                p_polynomial(n - 1, bump - 1)
+                + p_polynomial(n - 2, bump - 2).shift(1))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cube_distance_interpretation(self, n):
@@ -160,7 +181,7 @@ class TestAMap:
         assert apply_A(0, ONE) == Poly([1, 2])
 
     def test_a1_on_p1(self):
-        assert apply_A(1, p_raw(1)) == p_raw(3)
+        assert apply_A(1, p_polynomial(1)) == p_polynomial(3)
 
     def test_zero_maps_to_zero(self):
         assert apply_A(3, Poly()) == Poly()
@@ -186,20 +207,21 @@ class TestAMap:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_ladder_step_identities(self, d):
-        assert apply_A(d, p_raw(2 * d - 1)) == p_raw(2 * d + 1)
-        assert apply_A(d, p_raw(2 * d)) == p_raw(2 * d + 2)
-        assert apply_A(d + 1, p_raw(2 * d)) == p_raw(2 * d + 2)
+        assert apply_A(d, p_polynomial(2 * d - 1)) == p_polynomial(2 * d + 1)
+        assert apply_A(d, p_polynomial(2 * d)) == p_polynomial(2 * d + 2)
+        assert apply_A(d + 1, p_polynomial(2 * d)) == p_polynomial(2 * d + 2)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_bumped_step_identities(self, d):
         for i in range(1, d // 2 + 1):
-            assert apply_A(d, p_raw(2 * d - 1, i)) == p_raw(2 * d + 1, i)
-            assert apply_A(d, p_raw(2 * d, i)) == p_raw(2 * d + 2, i)
+            for n in (2 * d - 1, 2 * d):
+                assert apply_A(d, p_polynomial(n, i)) == p_polynomial(n + 2, i)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_adjacent_bump_difference(self, d):
         want = (X.shift(d) + X.shift(d - 1)) * (-1) ** (d + 1)
-        assert p_raw(2 * d + 1, d) - p_raw(2 * d + 1, d - 1) == want
+        diff = p_polynomial(2 * d + 1, d) - p_polynomial(2 * d + 1, d - 1)
+        assert diff == want
 
     @pytest.mark.parametrize("d", range(0, 9))
     def test_injectivity_rank(self, d):
@@ -211,6 +233,13 @@ class TestAMap:
 class TestCatalan:
     def test_values(self):
         assert [catalan(m) for m in range(6)] == [1, 1, 2, 5, 14, 42]
+
+    def test_matches_the_recursion(self):
+        # C_m = sum of C_j C_(m-1-j) over j < m, from C_0 = 1.
+        ref = [1]
+        for m in range(1, 31):
+            ref.append(sum(ref[j] * ref[m - 1 - j] for j in range(m)))
+        assert [catalan(m) for m in range(31)] == ref
 
     def test_identity_examples(self):
         assert catalan_identity_check(1, 1) == (1, 1, True)
@@ -231,19 +260,20 @@ class TestCatalan:
 
 class TestAffineRank:
     def test_paper_instances(self):
-        assert affine_rank([p_raw(3), p_raw(4), p_raw(3, 1)], 2) == 2
         assert affine_rank(
-            [p_raw(5), p_raw(6), p_raw(5, 1), p_raw(5, 2)], 3) == 3
+            [p_polynomial(3), p_polynomial(4), p_polynomial(3, 1)], 2) == 2
+        assert affine_rank([p_polynomial(5), p_polynomial(6),
+                            p_polynomial(5, 1), p_polynomial(5, 2)], 3) == 3
 
     def test_coincident_points(self):
-        p = p_raw(4)
+        p = p_polynomial(4)
         assert affine_rank([p, p], 2) == 0
         assert affine_rank([p], 2) == 0
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_ladder_family_rank(self, d):
-        polys = [p_raw(2 * d - 1), p_raw(2 * d)]
-        polys += [p_raw(2 * d - 1, i) for i in range(1, d)]
+        polys = [p_polynomial(2 * d - 1), p_polynomial(2 * d)]
+        polys += [p_polynomial(2 * d - 1, i) for i in range(1, d)]
         assert affine_rank(polys, d) == d
 
     def test_degree_guard(self):
@@ -285,9 +315,13 @@ def test_fibonacci_values():
 
 def test_a_map_fills_its_cache_without_deep_recursion():
     # A fresh interpreter, so nothing is cached yet, with a recursion limit
-    # far below d.
+    # far below d and n: the A images and the F and P caches fill upward.
     code = ("import sys; sys.setrecursionlimit(150)\n"
-            "from tilings.fibpoly import ONE, a_unit_closed_form, apply_A\n"
-            "assert apply_A(120, ONE) == a_unit_closed_form(120, 0)\n")
+            "from tilings.fibpoly import (ONE, a_unit_closed_form, apply_A,\n"
+            "    f_polynomial, fibonacci, p_polynomial)\n"
+            "assert apply_A(120, ONE) == a_unit_closed_form(120, 0)\n"
+            "f_polynomial(1200, 5)\n"
+            "assert p_polynomial(1200)(1) == fibonacci(1202)\n"
+            "assert f_polynomial(1200)(0) == fibonacci(1202)\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

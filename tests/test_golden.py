@@ -8,7 +8,8 @@ change only with an intended change of output.  ``SHAPE_DIGESTS`` pins the
 corpus shapes themselves: names and sorted cells of the polyomino zoo and
 of two seeds of random shapes.  ``VERIFY_DIGEST``, ``DUMP_DIGEST`` and
 ``TABLE_DIGESTS`` pin the output of ``verify``, the files of ``fixtures
-dump`` and the table output of ``count`` and ``complex``.
+dump`` and the table output of ``count`` and ``complex``; ``POLY_DIGESTS``
+pins ``poly`` over small ladders and degrees.
 """
 
 import hashlib
@@ -162,6 +163,35 @@ TABLE_DIGESTS = {
         "a4c03de64f6e21e02887b493f76e4d7e88230be55e93450bddf3afab471ac0e9",
 }
 
+# SHA-256 over the ``poly KIND ... --format json`` output for every argument
+# list that ``_poly_params`` yields, in order.
+POLY_DIGESTS = {
+    "A":
+        "2d1ffdd3f7ec433022a047582bcecb28be3146480d152b7b9f57aa53e5fa5490",
+    "F":
+        "76fd5af15e12f2696cb87ba994a16144d5f7ee4d6272eef7cf0e5858b9a3ca09",
+    "P":
+        "4a664b4afa4b26c11f24516c0c5d4f1367f6b84e2ebdf8f5750399fcc41c9ac9",
+    "closed":
+        "a8525b275a2e2f069b8f4b6bbe145c0586be6cce5454abf30c578a4319568e20",
+}
+
+
+def _poly_params(kind):
+    """F and P for n <= 24 with no bump and every bump, A for
+    0 <= k <= d <= 16, and the closed form for n <= 24."""
+    if kind == "A":
+        for d in range(17):
+            for k in range(d + 1):
+                yield [str(d), str(k)]
+        return
+    # P(0) has no closed form to compare with, so P and closed start at 1.
+    for n in range(0 if kind == "F" else 1, 25):
+        yield [str(n)]
+        if kind != "closed":
+            for bump in range(1, n + 1):
+                yield [str(n), str(bump)]
+
 
 def test_table_covers_the_core_fixtures():
     assert sorted(DIGESTS) == sorted(core_fixture_names())
@@ -226,3 +256,13 @@ def test_table_output_digest(capsys, command):
         out, _ = capsys.readouterr()
         digest.update(out.encode())
     assert digest.hexdigest() == TABLE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("kind", sorted(POLY_DIGESTS))
+def test_poly_output_digest(capsys, kind):
+    digest = hashlib.sha256()
+    for params in _poly_params(kind):
+        assert main(["poly", kind, *params, "--format", "json"]) == 0
+        out, _ = capsys.readouterr()
+        digest.update(out.encode())
+    assert digest.hexdigest() == POLY_DIGESTS[kind]

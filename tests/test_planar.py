@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import weak_dual
+from tilings import planar
 from tilings.geometry import (on_segment, segments_cross_improperly,
                               segments_intersect)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
-                              figure_g3, polyomino_zoo, triangular_prism)
+                              figure_g3, free_polyominoes, polyomino_zoo,
+                              triangular_prism)
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
                             build_ladder, build_planar_graph, classify_edges,
                             graph_from_cells, parse_polyomino,
@@ -254,6 +256,17 @@ class TestReduce:
         with pytest.raises(GraphError, match="no perfect matching"):
             reduce_graph(tri)
 
+    def test_figure2_is_classified_once(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return classify_edges(g)
+
+        monkeypatch.setattr(planar, "classify_edges", counted)
+        reduce_graph(figure_counterexample())
+        assert len(calls) == 1
+
 
 def test_euler_formula_validated():
     # Constructed graphs always satisfy Euler; spot-check the counts used.
@@ -297,6 +310,46 @@ def test_subgraph_matches_rebuild(case):
     assert sub.edges == rebuilt.edges
     assert sub.adj == rebuilt.adj
     assert [r.cycle for r in sub.regions] == regions
+
+
+@st.composite
+def matched_deletions(draw):
+    """A parent graph less the endpoints of up to two edges (so an even
+    number of vertices, mostly) and up to four more edges."""
+    g = draw(st.sampled_from(parent_graphs()))
+    gone = draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=2))
+    re = draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=4))
+    return g.subgraph(remove_vertices={v for e in gone for v in e},
+                      remove_edges=re)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matched_deletions())
+def test_reduced_graph_has_only_free_edges(h):
+    if not classify_edges(h).has_perfect_matching:
+        with pytest.raises(GraphError, match="no perfect matching"):
+            reduce_graph(h)
+        return
+    assert set(classify_edges(reduce_graph(h)).status.values()) <= {"free"}
+
+
+def _lattice_drawings():
+    for n in range(1, 11):
+        for cells in free_polyominoes(n):
+            yield graph_from_cells(set(cells))
+    for n in range(1, 9):
+        for bump in [None, *range(1, n + 1)]:
+            yield build_ladder(n, bump)
+
+
+def test_lattice_builders_need_no_crossing_check():
+    # The builders skip the crossing check; every free polyomino of up to
+    # ten cells, holed ones included, and every small ladder builds the same
+    # graph with the check on.
+    for g in _lattice_drawings():
+        h = PlanarGraph(g.coords, g.edges, check_crossings=True)
+        assert (g.lattice, g.edges, g.adj) == (h.lattice, h.edges, h.adj)
+        assert [r.cycle for r in g.regions] == [r.cycle for r in h.regions]
 
 
 # -- the drawing check against a scan of every vertex -------------------------
