@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .complexes import build_complex, count_f_vector
-from .fibpoly import apply_A, f_polynomial, p_closed_form, p_polynomial, ONE, X
+from .fibpoly import apply_A, f_polynomial, p_closed_form, p_polynomial, ONE
 from .fixtures import core_fixture_names, named_fixture
 from .matchings import cube_coordinates
 from .planar import (GraphError, PlanarGraph, build_from_polyomino,
@@ -107,6 +107,10 @@ def cmd_count(args) -> int:
 def cmd_poly(args) -> int:
     kind = args.kind.upper()
     params = args.params
+    most = {"F": 2, "P": 2, "CLOSED": 1, "A": 2}.get(kind, len(params))
+    if len(params) > most:
+        raise ValueError(f"poly {args.kind}: {len(params)} parameters, "
+                         f"at most {most}")
     if kind in ("F", "P"):
         n = int(params[0])
         bump = int(params[1]) if len(params) > 1 else None
@@ -122,7 +126,7 @@ def cmd_poly(args) -> int:
     elif kind == "A":
         d = int(params[0])
         k = int(params[1]) if len(params) > 1 else 0
-        poly = apply_A(d, X.shift(k - 1) if k else ONE)
+        poly = apply_A(d, ONE.shift(k))
         payload = {"kind": "A", "d": d, "k": k, "coeffs": list(poly.coeffs)}
     else:
         raise GraphError(f"unknown polynomial kind {args.kind!r}")

@@ -36,9 +36,9 @@ class CubicalMatchingComplex:
     """Faces of the cubical complex of ``graph``, sorted stably by dimension:
     within one they keep the order given, which :func:`build_complex` makes
     that of :meth:`TilingFace.sort_key`.  Its readers rely on this order:
-    ``dim``, ``f_vector``, ``vertices`` and ``connected_components`` read
-    runs of it, ``topology`` slices cells by dimension, and ``verify``
-    meets each face's facets before the face.
+    ``dim``, ``f_vector``, ``vertices``, ``connected_components`` and
+    ``verify``'s cube check read runs of it, and ``topology`` slices cells
+    by dimension.
 
     ``_index`` maps each face to its position; a face equals its (edge set,
     cycles) pair, so that pair finds it with no ``TilingFace`` built."""
@@ -125,10 +125,6 @@ class CubicalMatchingComplex:
             groups.setdefault(find(vertex[m]), []).append(f)
         return [CubicalMatchingComplex(self.graph, fs)
                 for fs in groups.values()]
-
-    def serialize(self) -> list[dict]:
-        return [{"matching": [list(e) for e in f.matching.sorted_edges()],
-                 "cycles": sorted(f.cycles)} for f in self.faces]
 
 
 def _even_regions(g: PlanarGraph) -> list[tuple[int, tuple[int, ...]]]:

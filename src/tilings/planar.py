@@ -46,10 +46,6 @@ class Region:
     def parity(self) -> str:
         return "even" if len(self.cycle) % 2 == 0 else "odd"
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.cycle)
-
     def _boundary(self) -> list[Edge]:
         cyc = self.cycle
         return [edge_key(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
@@ -118,12 +114,12 @@ class PlanarGraph:
             edge_set.add(edge_key(u, v))
         self.edges: frozenset[Edge] = frozenset(edge_set)
 
+        # Each list comes out increasing: every edge (u, x) with u < x sorts
+        # before every edge (x, w).
         self.adj: dict[int, list[int]] = {v: [] for v in self.lattice}
         for u, v in sorted(self.edges):
             self.adj[u].append(v)
             self.adj[v].append(u)
-        for v in self.adj:
-            self.adj[v].sort()
 
         if check_crossings:
             self._check_noncrossing()

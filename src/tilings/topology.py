@@ -181,21 +181,6 @@ class CollapseVerdict:
     status: str  # collapsible | not_collapsible | inconclusive
     certificate: Optional[list[tuple]] = None
     reason: Optional[str] = None
-    seed: Optional[int] = None
-
-    def serialize(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = [[_cell_label(a), _cell_label(b)]
-                    for a, b in self.certificate]
-        return {"status": self.status, "certificate": cert,
-                "reason": self.reason, "seed": self.seed}
-
-
-def _cell_label(f) -> str:
-    if isinstance(f, frozenset):
-        return "{" + ",".join(map(str, sorted(f, key=repr))) + "}"
-    return (f"(M={f.matching.sorted_edges()}, C={sorted(f.cycles)})")
 
 
 def _covers(facets: list[list[int]]) -> list[list[int]]:
@@ -262,18 +247,17 @@ def collapse_search(c: Union[SimplicialComplex, CubicalMatchingComplex],
     for attempt in range(1 + max(0, budget - 1) // max(1, len(cells) // 2)):
         cert = greedy(rng)
         if cert is not None:
-            return CollapseVerdict("collapsible", certificate=cert, seed=seed)
+            return CollapseVerdict("collapsible", certificate=cert)
         rng = random.Random(f"{seed}/{attempt}")
 
     if len(cells) <= 64:
         cert, complete = _exhaustive_collapse(cells, covers, budget)
         if cert is not None:
-            return CollapseVerdict("collapsible", certificate=cert, seed=seed)
+            return CollapseVerdict("collapsible", certificate=cert)
         if complete:
             return CollapseVerdict("not_collapsible",
                                    reason="exhaustive search found no collapse")
-    return CollapseVerdict("inconclusive",
-                           reason="budget exhausted", seed=seed)
+    return CollapseVerdict("inconclusive", reason="budget exhausted")
 
 
 def _exhaustive_collapse(cells: list, covers: list[list[int]], budget: int

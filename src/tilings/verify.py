@@ -246,7 +246,7 @@ def check_closed_forms(corpus: Corpus, bounds: Bounds) -> Cases:
 def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
     for d in range(0, 11):
         for k in range(d + 1):
-            yield None if apply_A(d, X.shift(k - 1) if k else ONE) == \
+            yield None if apply_A(d, ONE.shift(k)) == \
                 a_unit_closed_form(d, k) else {
                     "part": "closed-form", "d": d, "k": k}
     for d in range(1, bounds.max_d + 1):
@@ -407,32 +407,29 @@ def check_cube(corpus: Corpus, bounds: Bounds) -> Cases:
         if len(set(coords.values())) != len(coords):
             yield {"fixture": name, "part": "injectivity"}
             continue
-        yield next(({"fixture": name, "part": "subcube",
-                     "cycles": sorted(f.cycles), "vertices_below": len(below)}
-                    for f, below in _vertices_below(k).items()
-                    if f.dim and not _is_subcube(f, below, coords)), None)
+        f = _off_axis_edge(k, coords)
+        yield None if f is None else {
+            "fixture": name, "part": "subcube", "cycles": sorted(f.cycles),
+            "vertices_below": 2}
 
 
-def _is_subcube(f: TilingFace, below: set[Matching],
-                coords: Mapping[Matching, tuple[int, ...]]) -> bool:
-    """Whether the vertices below f are the 2**dim corners of one subcube:
-    pinned outside f's regions and taking every pattern on them."""
-    pins = {tuple(x for i, x in enumerate(coords[m]) if i not in f.cycles)
-            for m in below}
-    patterns = {tuple(coords[m][i] for i in sorted(f.cycles)) for m in below}
-    return len(below) == len(patterns) == 2 ** f.dim and len(pins) == 1
-
-
-def _vertices_below(k: CubicalMatchingComplex
-                    ) -> dict[TilingFace, set[Matching]]:
-    """The matchings of the vertices below each face: a vertex has its own,
-    and a face those of its facets in k, which come before it in k's order
-    of dimension, so its regions are released one at a time."""
-    below: dict[TilingFace, set[Matching]] = {}
+def _off_axis_edge(k: CubicalMatchingComplex,
+                   coords: Mapping[Matching, tuple[int, ...]]
+                   ) -> Optional[TilingFace]:
+    """The first 1-face of k whose ends' points differ anywhere but at its
+    region, or None, and then every face of k is a full subcube: two vertices
+    below a face that differ only in region r's alternation are the ends of
+    a 1-face, which k holds as it holds every tiling, so the points below
+    are one point plus every sum of the unit vectors of the face's regions.
+    The 1-faces follow the vertices in k's order of dimension."""
     for f in k.faces:
-        below[f] = (set().union(*(below[g] for g in k.facets_of(f)))
-                    if f.dim else {f.matching})
-    return below
+        if f.dim > 1:
+            break
+        if f.dim:
+            a, b = (coords[v.matching] for v in k.facets_of(f))
+            if {i for i, x in enumerate(a) if x != b[i]} != f.cycles:
+                return f
+    return None
 
 
 def run_verification(scope: str = "all",

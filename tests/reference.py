@@ -5,18 +5,20 @@ definition: the face order by direct comparison (the package walks covers),
 a simplicial complex by keeping its maximal faces (the package lists facets
 directly), the boundary of a boundary, the weak dual of a drawing (the
 package builds only its induced subgraphs, in ``matched_region_graph``),
-and the vertex centroid as a Fraction point (the package tests it as an
-int point in the polygon scaled by its vertex count).
+the vertex centroid as a Fraction point (the package tests it as an int
+point in the polygon scaled by its vertex count), and the cube embedding
+tested on the vertices below every face (the package tests each 1-face).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from tilings.complexes import CubicalMatchingComplex, TilingFace
 from tilings.geometry import Point
+from tilings.matchings import Matching
 from tilings.planar import PlanarGraph
 from tilings.topology import SimplicialComplex, _cells_and_boundaries
 
@@ -87,3 +89,25 @@ def vertex_centroid(poly: Sequence[Point]) -> Point:
     n = len(poly)
     return (Fraction(sum(q[0] for q in poly), n),
             Fraction(sum(q[1] for q in poly), n))
+
+
+def vertices_below(k: CubicalMatchingComplex
+                   ) -> dict[TilingFace, set[Matching]]:
+    """The matchings of the vertices below each face: a vertex has its own,
+    and a face those of its facets in k, which come before it in k's order
+    of dimension, so its regions are released one at a time."""
+    below: dict[TilingFace, set[Matching]] = {}
+    for f in k.faces:
+        below[f] = (set().union(*(below[g] for g in k.facets_of(f)))
+                    if f.dim else {f.matching})
+    return below
+
+
+def is_subcube(f: TilingFace, below: set[Matching],
+               coords: Mapping[Matching, tuple[int, ...]]) -> bool:
+    """Whether the vertices below f are the 2**dim corners of one subcube:
+    pinned outside f's regions and taking every pattern on them."""
+    pins = {tuple(x for i, x in enumerate(coords[m]) if i not in f.cycles)
+            for m in below}
+    patterns = {tuple(coords[m][i] for i in sorted(f.cycles)) for m in below}
+    return len(below) == len(patterns) == 2 ** f.dim and len(pins) == 1

@@ -202,6 +202,17 @@ def test_poly_negative_power_fails(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "x^-1" in err
+
+
+@pytest.mark.parametrize("params", [
+    ["F", "2", "1", "5"], ["P", "4", "2", "9", "9"], ["closed", "5", "9"],
+    ["A", "3", "1", "7"]])
+def test_poly_extra_parameters_fail(capsys, params):
+    code, out, err = run(capsys, "poly", *params)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_import_leaves_networkx_unloaded():

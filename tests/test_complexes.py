@@ -200,14 +200,6 @@ class TestEdgeDecomposition:
             verify_edge_decomposition(c4(), (0, 2))
 
 
-def test_serialize_shape():
-    k = build_complex(c4())
-    data = k.serialize()
-    assert len(data) == len(k.faces)
-    assert data[0] == {"matching": [[0, 1], [2, 3]], "cycles": []}
-    assert data[-1]["cycles"] == [0]
-
-
 # -- the one search against a brute-force reference -------------------------
 
 
@@ -218,7 +210,7 @@ def brute_force_faces(g):
     faces = []
     for k in range(len(even) + 1):
         for regions in itertools.combinations(even, k):
-            vsets = [g.regions[r].vertex_set for r in regions]
+            vsets = [frozenset(g.regions[r].cycle) for r in regions]
             covered = frozenset().union(*vsets)
             if sum(map(len, vsets)) != len(covered):
                 continue

@@ -2,9 +2,9 @@
 
 ``face_leq`` compares two faces directly; it is the reference order.  The
 package reads the order from region releases instead: ``facets_of`` going
-down, links as the region sets flipped out of a face going up, and the
-vertices below a face through its facets.  Each is compared here with a
-scan over every pair of faces.
+down, and links as the region sets flipped out of a face going up; the cube
+check's per-face reference reads the vertices below a face through its
+facets.  Each is compared here with a scan over every pair of faces.
 """
 
 import ast
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tilings
-from reference import face_leq, from_faces
+from reference import face_leq, from_faces, vertices_below
 from tilings.complexes import (CubicalMatchingComplex, TilingFace,
                                build_complex)
 from tilings.fixtures import (core_fixture_names, figure_counterexample,
@@ -26,7 +26,6 @@ from tilings.matchings import enumerate_perfect_matchings
 from tilings.planar import (Region, build_ladder, cells_connected, edge_key,
                             graph_from_cells)
 from tilings.topology import collapse_search, link_of_face, z2_betti
-from tilings.verify import _vertices_below
 
 FIGURES = [figure_g1, figure_g2, figure_g3, figure_counterexample,
            triangular_prism]
@@ -71,7 +70,7 @@ def faces_above_by_scan(k):
 def assert_order_matches_scan(g):
     k = build_complex(g)
     above = faces_above_by_scan(k)
-    below = _vertices_below(k)
+    below = vertices_below(k)
     for f in k.faces:
         want_link = from_faces(
             c.cycles - f.cycles for c in above[f])
@@ -277,7 +276,8 @@ def references(tree, name):
 TEST_ONLY = ["face_leq", "from_faces", "boundary_of_boundary_vanishes",
              "weak_dual", "DualGraph", "symmetric_difference_cycles",
              "CycleDecomposition", "region_order", "max_regions",
-             "max_faces"]
+             "max_faces", "_vertices_below", "is_subcube", "_is_subcube",
+             "vertex_set", "_cell_label"]
 
 
 def test_reference_names_stay_out_of_the_package():

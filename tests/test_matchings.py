@@ -172,7 +172,7 @@ class TestCubeCoordinates:
                     continue
                 cyc = dec.cycles[0]
                 regions = [j for j, r in enumerate(g.regions)
-                           if r.vertex_set == frozenset(cyc)]
+                           if frozenset(r.cycle) == frozenset(cyc)]
                 if not regions:
                     continue
                 j = regions[0]

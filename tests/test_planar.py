@@ -415,9 +415,11 @@ def drawings(draw):
 
 def outcome(cls, vertices, edges):
     try:
-        cls(vertices, edges)
+        g = cls(vertices, edges)
     except GraphError as e:
         return str(e)
+    # The search order, and with it every digest, rests on sorted lists.
+    assert all(nbrs == sorted(nbrs) for nbrs in g.adj.values())
     return "ok"
 
 
