@@ -112,7 +112,7 @@ def cmd_poly(args) -> int:
         raise ValueError(f"poly {args.kind}: {len(params)} parameters, "
                          f"at most {most}")
     if kind in ("F", "P"):
-        n = int(params[0])
+        n = _at_most("n", int(params[0]), _MAX_POLY_N)
         bump = int(params[1]) if len(params) > 1 else None
         poly = (f_polynomial if kind == "F" else p_polynomial)(n, bump)
         payload = {"kind": kind, "n": n, "bump": bump,
@@ -120,11 +120,11 @@ def cmd_poly(args) -> int:
         if kind == "P" and bump is None:
             payload["matches_closed_form"] = poly == p_closed_form(n)
     elif kind == "CLOSED":
-        n = int(params[0])
+        n = _at_most("n", int(params[0]), _MAX_POLY_N)
         payload = {"kind": "closed", "n": n,
                    "coeffs": list(p_closed_form(n).coeffs)}
     elif kind == "A":
-        d = int(params[0])
+        d = _at_most("d", int(params[0]), _MAX_POLY_D)
         k = int(params[1]) if len(params) > 1 else 0
         poly = apply_A(d, ONE.shift(k))
         payload = {"kind": "A", "d": d, "k": k, "coeffs": list(poly.coeffs)}
@@ -221,14 +221,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Upper bounds on the size parameters.  At each bound a run takes a few
+# seconds on a 2-core host with Python 3.11, and the work grows as a power
+# of the parameter: `poly F 4000` took 14 s and `verify --max-d 120` did not
+# end within a minute.
+_MAX_N = 500        # verify --max-n
+_MAX_D = 50         # verify --max-d
+_MAX_POLY_N = 2000  # n of poly F, P and closed
+_MAX_POLY_D = 100   # d of poly A
+
+
+def _at_most(name: str, value: int, most: int) -> int:
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, not {value}")
+    return value
+
+
 def _check_limits(args) -> None:
-    """Reject size bounds that would make a run vacuous or meaningless,
-    for the options the command has."""
-    for option, least in (("budget", 0), ("max_n", 1), ("max_d", 1)):
+    """Reject size bounds that would make a run vacuous, meaningless or
+    unbounded, for the options the command has."""
+    for option, least, most in (("budget", 0, None), ("max_n", 1, _MAX_N),
+                                ("max_d", 1, _MAX_D)):
         value = getattr(args, option, None)
-        if value is not None and value < least:
-            flag = "--" + option.replace("_", "-")
+        if value is None:
+            continue
+        flag = "--" + option.replace("_", "-")
+        if value < least:
             raise ValueError(f"{flag} must be at least {least}, not {value}")
+        if most is not None:
+            _at_most(flag, value, most)
 
 
 def main(argv=None) -> int:

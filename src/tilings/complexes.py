@@ -128,8 +128,21 @@ class CubicalMatchingComplex:
 
 
 def _even_regions(g: PlanarGraph) -> list[tuple[int, tuple[int, ...]]]:
-    return [(i, r.cycle) for i, r in enumerate(g.regions)
-            if r.parity == "even"]
+    return [(i, r.cycle) for i, r in enumerate(g.regions) if r.alternations]
+
+
+def _counting_order(g: PlanarGraph) -> list[int]:
+    """g's vertices by lattice point along the longer side of the drawing's
+    box: x then y when it is wider than tall, else y then x.  A count's
+    states then differ only across the shorter side, where a polyomino's
+    cells in row-major order would keep a whole row open."""
+    pos = g.lattice
+    if not pos:
+        return []
+    xs, ys = zip(*pos.values())
+    if max(xs) - min(xs) > max(ys) - min(ys):
+        return sorted(pos, key=pos.__getitem__)
+    return sorted(pos, key=lambda v: pos[v][::-1])
 
 
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
@@ -150,8 +163,9 @@ def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
 
 def count_f_vector(g: PlanarGraph) -> list[int]:
     """The f-vector of C(g), ``build_complex(g).f_vector()``, counted by
-    :func:`count_tilings` with no face built."""
-    return count_tilings(g.vertex_ids, g.adj, _even_regions(g))
+    :func:`count_tilings` in the order of :func:`_counting_order` with no
+    face built."""
+    return count_tilings(_counting_order(g), g.adj, _even_regions(g))
 
 
 def verify_edge_decomposition(g: PlanarGraph, e: Sequence[int]) -> dict:
@@ -196,7 +210,7 @@ def edge_decompositions(g: PlanarGraph, edges: Optional[Iterable[Edge]] = None,
     for e in edges:
         [r] = holding[e]
         terms = {"without_endpoints": count(e), "without_edge": count((), e)}
-        if g.regions[r].parity == "even":
+        if g.regions[r].alternations:
             if r not in without_region:
                 without_region[r] = count(g.regions[r].cycle)
             terms["without_region_shifted"] = without_region[r]
@@ -212,13 +226,13 @@ def _counter_without(g: PlanarGraph, holding: Mapping[Edge, Sequence[int]]
     one search plan of g: the vertices are covered from the start, and the
     edge and the regions ``holding[edge]`` whose boundary holds it are
     dropped from the moves.  Those are the subgraph's deletions, since a
-    region of g survives in it exactly when its whole boundary does."""
-    plan = _search_plan(g.vertex_ids, g.adj, _even_regions(g))
-    bit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+    region of g survives in it exactly when its whole boundary does.  The
+    plan follows :func:`_counting_order`, and gives each vertex's bit."""
+    plan, pos = _search_plan(_counting_order(g), g.adj, _even_regions(g))
 
     def count(vertices: Iterable[int] = (),
               edge: Optional[Edge] = None) -> list[int]:
-        return count_on_plan(plan, sum(bit[v] for v in vertices), edge,
+        return count_on_plan(plan, sum(1 << pos[v] for v in vertices), edge,
                              holding.get(edge, ()))
 
     return count
@@ -228,9 +242,9 @@ def _edge_report(g: PlanarGraph, e: Edge, r: int, f_g: list[int],
                  terms: dict[str, list[int]]) -> dict:
     """The report of :func:`verify_edge_decomposition` for edge e in region
     r, from f(G) and the counted terms, the last shifted up one dimension."""
-    parity = g.regions[r].parity
+    even = bool(g.regions[r].alternations)
     vecs = [terms["without_endpoints"], terms["without_edge"]]
-    if parity == "even":
+    if even:
         vecs.append([0] + terms["without_region_shifted"])
     top = max(map(len, [f_g, *vecs]))
 
@@ -242,7 +256,7 @@ def _edge_report(g: PlanarGraph, e: Edge, r: int, f_g: list[int],
     return {
         "edge": list(e),
         "region": r,
-        "region_parity": parity,
+        "region_parity": "even" if even else "odd",
         "f_vector": f_g,
         "terms": terms,
         "rows": [{"i": i, "lhs": a, "rhs": b}

@@ -3,6 +3,7 @@ cube-coordinate embedding."""
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
 from operator import xor
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -55,23 +56,25 @@ def matchings_of_adjacency(
     set S of vertex-disjoint regions that together cover every vertex.
 
     ``regions`` lists (label, vertices) pairs of even regions; S holds their
-    labels.  One backtracking search takes the lowest uncovered vertex v and
-    covers it either by an edge to an uncovered neighbour or by a region
-    whose lowest vertex is v and whose vertices are all uncovered, so each
-    tiling is found exactly once.  Edges are tried before regions, in the
-    order of ``adj``.  With sorted lists, as a PlanarGraph keeps them, the
-    tilings that share one region set S come out in lexicographic order of
-    their sorted edge lists: where two of them first differ, both cover the
-    same vertex v, and by an edge, since a region covering v would be in S
-    for both.
+    labels.  One backtracking search takes the first uncovered vertex v of
+    ``vertices`` and covers it either by an edge to an uncovered neighbour
+    or by a region whose first vertex is v and whose vertices are all
+    uncovered, so each tiling is found exactly once.  Edges are tried before
+    regions, in the order of ``adj``.  With sorted vertices and lists, as a
+    PlanarGraph keeps them, the tilings that share one region set S come out
+    in lexicographic order of their sorted edge lists: where two of them
+    first differ, both cover the same vertex v, and by an edge, since a
+    region covering v would be in S for both.
 
-    The covered vertices are the bits of one int, bit i standing for the
-    i-th vertex of the search order; the moves come from :func:`_search_plan`.
+    The covered vertices are the bits of one int, bit i standing for
+    ``vertices[i]``; the moves come from :func:`_search_plan`.  The search
+    nests one call per move, so the interpreter's recursion limit is raised
+    by the most moves a tiling makes for the call, then restored.
     """
     # Edges and even regions each cover an even number of vertices.
     if len(vertices) % 2 == 1:
         return []
-    moves = _search_plan(vertices, adj, regions)
+    moves, _ = _search_plan(vertices, adj, regions)
     full = (1 << len(moves)) - 1
     edges: list[Edge] = []
     out: list[tuple[Matching, frozenset[int]]] = []
@@ -81,7 +84,7 @@ def matchings_of_adjacency(
         if covered == full:
             out.append((Matching(edges), used))
             return
-        # The lowest uncovered vertex: the lowest zero bit of ``covered``.
+        # The first uncovered vertex: the lowest zero bit of ``covered``.
         edge_moves, region_moves = moves[(~covered & (covered + 1))
                                          .bit_length() - 1]
         for b, e in edge_moves:
@@ -93,7 +96,12 @@ def matchings_of_adjacency(
             if not covered & b:
                 search(covered | b, used | {label})
 
-    search(0, frozenset())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(moves) // 2 + 1)
+    try:
+        search(0, frozenset())
+    finally:
+        sys.setrecursionlimit(limit)
     # Break the cycle search -> closure -> search, which would keep every
     # tiling found alive until the next full garbage collection.
     del search
@@ -103,27 +111,28 @@ def matchings_of_adjacency(
 _Moves = list[tuple[list[tuple[int, Edge]], list[tuple[int, int]]]]
 
 
-def _search_plan(vertices: Sequence[int],
+def _search_plan(order: Sequence[int],
                  adj: Mapping[int, Sequence[int]],
-                 regions: Iterable[tuple[int, Iterable[int]]]) -> _Moves:
-    """The moves of the tiling search at each index i of its vertex order,
-    the sorted vertices, when ``order[i]`` is the lowest uncovered vertex.
+                 regions: Iterable[tuple[int, Iterable[int]]]
+                 ) -> tuple[_Moves, dict[int, int]]:
+    """The moves of the tiling search at each index i of its vertex order
+    ``order``, when ``order[i]`` is the first uncovered vertex, and each
+    vertex's index in the order, the number of its bit in every mask.
 
     Every vertex before i is covered then, so the moves are the edges to
-    later neighbours, as (mask, edge) pairs in the order of ``adj``, and the
-    regions whose lowest vertex is ``order[i]``, as (mask, label) pairs.  A
-    mask has bit j set for each vertex ``order[j]`` the move covers, bit i
-    included.
+    later neighbours, as (mask, edge) pairs in the order of ``adj`` with
+    each edge's ends increasing, and the regions whose first vertex is
+    ``order[i]``, as (mask, label) pairs.  A mask has bit j set for each
+    vertex ``order[j]`` the move covers, bit i included.
     """
-    order = sorted(vertices)
     pos = {v: i for i, v in enumerate(order)}
     moves: _Moves = [
-        ([((1 << i) | (1 << pos[u]), (v, u)) for u in adj[v] if pos[u] > i],
-         []) for i, v in enumerate(order)]
+        ([((1 << i) | (1 << pos[u]), (v, u) if v < u else (u, v))
+          for u in adj[v] if pos[u] > i], []) for i, v in enumerate(order)]
     for label, vs in regions:
         vs = [pos[v] for v in vs]
         moves[min(vs)][1].append((sum(1 << j for j in vs), label))
-    return moves
+    return moves, pos
 
 
 def count_tilings(vertices: Sequence[int],
@@ -134,10 +143,10 @@ def count_tilings(vertices: Sequence[int],
     i is the number of tilings with i regions, trailing zeros trimmed, and
     ``[]`` when there is no tiling.  No tiling is built.
 
-    The search plan of :func:`_search_plan`, counted by
-    :func:`count_on_plan`.
+    The search plan of :func:`_search_plan` in the order of ``vertices``,
+    counted by :func:`count_on_plan`.
     """
-    return count_on_plan(_search_plan(vertices, adj, regions))
+    return count_on_plan(_search_plan(vertices, adj, regions)[0])
 
 
 def count_on_plan(moves: _Moves, start: int = 0, edge: Optional[Edge] = None,
@@ -152,8 +161,9 @@ def count_on_plan(moves: _Moves, start: int = 0, edge: Optional[Edge] = None,
     states that leave vertex i uncovered make the moves at i, each of which
     covers it, and the others wait.  Searches that reach one state have the
     same completions, so they are merged and their counts by number of
-    regions added.  On the cells of a polyomino in row-major order this is
-    the broken-profile transfer matrix.  A deleted vertex is covered from
+    regions added.  On the cells of a polyomino swept along its longer side,
+    as :func:`count_f_vector` orders them, this is the
+    broken-profile transfer matrix.  A deleted vertex is covered from
     the start, so no move that touches it is made; the deleted edge and
     regions are dropped from the moves.
     """
@@ -212,12 +222,12 @@ def cube_coordinates(g: PlanarGraph, matchings: Sequence[Matching]
     mask = {(u, v): sum(1 << i for i, p in enumerate(pts)
                         if ray_crosses(p, pos[u], pos[v])) for u, v in g.edges}
     n = len(lattice)
-    parity = {}
+    bits = {}
     for m in matchings:
         if 2 * len(m) != n or not m <= g.edges or len(m.covered) != n:
             raise GraphError(f"{m.sorted_edges()} is not a perfect matching "
                              "of the graph")
-        parity[m] = reduce(xor, (mask[e] for e in m), 0)
-    base = next(iter(parity.values()), 0)
+        bits[m] = reduce(xor, (mask[e] for e in m), 0)
+    base = next(iter(bits.values()), 0)
     return {m: tuple((x ^ base) >> i & 1 for i in range(len(pts)))
-            for m, x in parity.items()}
+            for m, x in bits.items()}

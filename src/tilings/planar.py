@@ -42,10 +42,6 @@ class Region:
     def __len__(self) -> int:
         return len(self.cycle)
 
-    @property
-    def parity(self) -> str:
-        return "even" if len(self.cycle) % 2 == 0 else "odd"
-
     def _boundary(self) -> list[Edge]:
         cyc = self.cycle
         return [edge_key(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
@@ -405,23 +401,8 @@ def parse_polyomino(grid_text: str) -> set[tuple[int, int]]:
     return cells
 
 
-def cells_connected(cells: set[tuple[int, int]]) -> bool:
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
-
-
 def graph_from_cells(cells: set[tuple[int, int]]) -> PlanarGraph:
     """Cell-adjacency graph: one vertex per cell at its integer center."""
-    if not cells_connected(cells):
-        raise GraphError("polyomino cells are not edge-connected")
     order = sorted(cells)
     ids = {cell: i for i, cell in enumerate(order)}
     vertices = {i: (c, -r) for (r, c), i in ids.items()}
@@ -431,7 +412,10 @@ def graph_from_cells(cells: set[tuple[int, int]]) -> PlanarGraph:
             if nb in ids:
                 edges.append((i, ids[nb]))
     # Unit segments between 4-adjacent lattice points cannot cross.
-    return PlanarGraph(vertices, edges, check_crossings=False)
+    g = PlanarGraph(vertices, edges, check_crossings=False)
+    if len(set(g.component_labels().values())) > 1:
+        raise GraphError("polyomino cells are not edge-connected")
+    return g
 
 
 def build_from_polyomino(grid_text: str) -> PlanarGraph:

@@ -6,7 +6,7 @@ it yields None for each case that holds and a witness dict for a case that
 fails.  ``_check`` registers it behind one runner, which counts the cases
 up to and including the first witness, stops there, and is the only code
 that builds a ``CheckResult``.  ``CHECKS`` lists the checks as (check id,
-function of corpus and bounds) pairs; ``run_verification`` drives the whole
+function of the corpus) pairs; ``run_verification`` drives the whole
 catalog, and the CLI and the acceptance tests are thin wrappers over it.
 """
 
@@ -159,19 +159,19 @@ def _bipartite(adj: Mapping[object, Collection]) -> bool:
 # -- the runner --------------------------------------------------------------------
 
 Cases = Iterator[Optional[dict]]
-Check = Callable[[Corpus, Bounds], CheckResult]
+Check = Callable[[Corpus], CheckResult]
 
 CHECKS: list[tuple[str, Check]] = []
 
 
 def _check(check_id: str, statement: str
-           ) -> Callable[[Callable[[Corpus, Bounds], Cases]], Check]:
+           ) -> Callable[[Callable[[Corpus], Cases]], Check]:
     """Register a case generator in ``CHECKS`` as the check ``check_id``."""
-    def register(cases: Callable[[Corpus, Bounds], Cases]) -> Check:
+    def register(cases: Callable[[Corpus], Cases]) -> Check:
         @functools.wraps(cases)
-        def check(corpus: Corpus, bounds: Bounds) -> CheckResult:
+        def check(corpus: Corpus) -> CheckResult:
             checked, witness = 0, None
-            for witness in cases(corpus, bounds):
+            for witness in cases(corpus):
                 checked += 1
                 if witness is not None:
                     break
@@ -187,7 +187,7 @@ def _check(check_id: str, statement: str
 
 @_check("euler", "alternating sum of the f-vector equals 1 for every "
         "connected fixture complex (and the component count in general)")
-def check_euler(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_euler(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
         if k.faces:
@@ -198,7 +198,7 @@ def check_euler(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("recurrences", "enumerated ladder f-vectors satisfy the two-step "
         "recurrences, plain and bumped, inside the validity windows")
-def check_recurrences(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_recurrences(corpus: Corpus) -> Cases:
     xp1 = Poly([1, 1])
     # f-vectors counted from the tilings, not f_polynomial: that is built
     # by the very recurrences checked here.
@@ -223,8 +223,8 @@ def check_recurrences(corpus: Corpus, bounds: Bounds) -> Cases:
 @_check("closed-forms", "shifted polynomials match the binomial closed form, "
         "evaluate to Fibonacci numbers at 1, and count non-consecutive "
         "multiset choices coefficient-wise")
-def check_closed_forms(corpus: Corpus, bounds: Bounds) -> Cases:
-    for n in range(1, bounds.max_n + 1):
+def check_closed_forms(corpus: Corpus) -> Cases:
+    for n in range(1, corpus.bounds.max_n + 1):
         p = p_polynomial(n)
         if p != p_closed_form(n):
             yield {"part": "closed-form", "n": n, "poly": list(p.coeffs)}
@@ -243,13 +243,13 @@ def check_closed_forms(corpus: Corpus, bounds: Bounds) -> Cases:
 @_check("a-map", "the degree-raising map matches its signed-Catalan closed "
         "form, maps ladder polynomials two steps up, satisfies the "
         "alternating Catalan identity, and is injective")
-def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_a_map(corpus: Corpus) -> Cases:
     for d in range(0, 11):
         for k in range(d + 1):
             yield None if apply_A(d, ONE.shift(k)) == \
                 a_unit_closed_form(d, k) else {
                     "part": "closed-form", "d": d, "k": k}
-    for d in range(1, bounds.max_d + 1):
+    for d in range(1, corpus.bounds.max_d + 1):
         # Each step is one case: A_a maps P_n to P_(n+2).
         for a, n in ((d, 2 * d - 1), (d, 2 * d), (d + 1, 2 * d)):
             yield None if apply_A(a, p_polynomial(n)) == \
@@ -259,7 +259,7 @@ def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
                 yield None if apply_A(d, p_polynomial(n, i)) == \
                     p_polynomial(n + 2, i) else {
                         "part": "bumped-step", "d": d, "i": i}
-    for d in range(2, bounds.max_d + 1):
+    for d in range(2, corpus.bounds.max_d + 1):
         want = (X.shift(d) + X.shift(d - 1)) * (-1) ** (d + 1)
         diff = p_polynomial(2 * d + 1, d) - p_polynomial(2 * d + 1, d - 1)
         yield None if diff == want else {
@@ -269,7 +269,7 @@ def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
             lhs, rhs, equal = catalan_identity_check(n, k)
             yield None if equal else {"part": "catalan-identity", "n": n,
                                       "k": k, "lhs": lhs, "rhs": rhs}
-    for d in range(0, bounds.max_d + 1):
+    for d in range(0, corpus.bounds.max_d + 1):
         rows = [[a_unit_closed_form(d, k)[j] for j in range(d + 2)]
                 for k in range(d + 1)]
         yield None if bareiss_rank(rows) == d + 1 else {
@@ -279,7 +279,7 @@ def check_a_map(corpus: Corpus, bounds: Bounds) -> Cases:
 @_check("affine", "the designated ladder polynomials are affinely "
         "independent, and corpus f-vectors of dimension-d complexes span an "
         "affine space of dimension exactly d")
-def check_affine(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_affine(corpus: Corpus) -> Cases:
     for d in range(2, 7):
         polys = [p_polynomial(2 * d - 1), p_polynomial(2 * d)]
         polys += [p_polynomial(2 * d - 1, i) for i in range(1, d)]
@@ -290,7 +290,7 @@ def check_affine(corpus: Corpus, bounds: Bounds) -> Cases:
         k = corpus.complex(name, g)
         if len(corpus.components(name, g)) == 1:
             by_dim.setdefault(k.dim, []).append(Poly(k.f_vector()))
-    top = min(4, (bounds.max_ladder + 1) // 2)
+    top = min(4, (corpus.bounds.max_ladder + 1) // 2)
     for d in range(0, top + 1):
         pts = by_dim.get(d, [])
         if len(pts) <= d:
@@ -304,7 +304,7 @@ def check_affine(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("links", "the link of every face is isomorphic to the independence "
         "complex of its matched-region graph")
-def check_links(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_links(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
         for f, model in zip(k.faces, corpus.link_models(name, g)):
@@ -322,7 +322,7 @@ def check_links(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("bipartite", "matched-region graphs of bipartite fixtures are "
         "bipartite and their links have at most two connected components")
-def check_bipartite(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_bipartite(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         if not _bipartite(g.adj):
             continue
@@ -338,7 +338,7 @@ def check_bipartite(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("kozlov", "Z/2 homology of independence complexes of paths and "
         "cycles matches the closed-form homotopy types")
-def check_kozlov(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_kozlov(corpus: Corpus) -> Cases:
     paths = ((n, {v: {v - 1, v + 1} & set(range(n)) for v in range(n)})
              for n in range(1, 13))
     cycles = ((n, {v: {(v - 1) % n, (v + 1) % n} for v in range(n)})
@@ -352,7 +352,7 @@ def check_kozlov(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("counterexample", "the nested-squares fixture gives two contractible "
         "segments, is not collapsible, and satisfies the product identity")
-def check_counterexample(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_counterexample(corpus: Corpus) -> Cases:
     g = figure_counterexample()
     k = build_complex(g)
     comps = k.connected_components()
@@ -372,13 +372,13 @@ def check_counterexample(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("contractibility", "every connected component of every fixture "
         "complex has trivial reduced Z/2 homology and collapses to a point")
-def check_contractibility(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_contractibility(corpus: Corpus) -> Cases:
     """One collapse search per component; it reads the Betti numbers first,
     and names them in its reason when the reduced homology is nontrivial."""
+    b = corpus.bounds
     for name, g in corpus.graphs():
         for comp in corpus.components(name, g):
-            verdict = collapse_search(comp, budget=bounds.budget,
-                                      seed=bounds.seed)
+            verdict = collapse_search(comp, budget=b.budget, seed=b.seed)
             yield None if verdict.status == "collapsible" else {
                 "fixture": name, "verdict": verdict.status,
                 "reason": verdict.reason}
@@ -386,7 +386,7 @@ def check_contractibility(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("decomposition", "deleting an outer edge decomposes the complex "
         "face-count exactly, on every eligible edge of every fixture")
-def check_decomposition(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_decomposition(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         f_g = corpus.complex(name, g).f_vector()
         for report in edge_decompositions(g, f_g=f_g):
@@ -397,7 +397,7 @@ def check_decomposition(corpus: Corpus, bounds: Bounds) -> Cases:
 
 @_check("cube", "cube coordinates embed each complex into the cube: "
         "injective on vertices, each face a full geometric subcube")
-def check_cube(corpus: Corpus, bounds: Bounds) -> Cases:
+def check_cube(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
         verts = k.vertices()
@@ -435,13 +435,12 @@ def _off_axis_edge(k: CubicalMatchingComplex,
 def run_verification(scope: str = "all",
                      bounds: Optional[Bounds] = None) -> VerificationReport:
     """Run the checks whose id starts with ``scope`` ("all" runs everything)."""
-    bounds = bounds or Bounds()
-    corpus = Corpus(bounds)
+    corpus = Corpus(bounds or Bounds())
     selected = [(cid, fn) for cid, fn in CHECKS
                 if scope == "all" or cid.startswith(scope)]
     if not selected:
         raise ValueError(f"no checks match scope {scope!r}")
     report = VerificationReport()
     for _, fn in sorted(selected):
-        report.results.append(fn(corpus, bounds))
+        report.results.append(fn(corpus))
     return report

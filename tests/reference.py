@@ -6,8 +6,12 @@ a simplicial complex by keeping its maximal faces (the package lists facets
 directly), the boundary of a boundary, the weak dual of a drawing (the
 package builds only its induced subgraphs, in ``matched_region_graph``),
 the vertex centroid as a Fraction point (the package tests it as an int
-point in the polygon scaled by its vertex count), and the cube embedding
-tested on the vertices below every face (the package tests each 1-face).
+point in the polygon scaled by its vertex count), the cube embedding
+tested on the vertices below every face (the package tests each 1-face),
+and the edge-connectivity of a polyomino's cells by a search over their
+neighbours (the package reads its graph's component labels).
+
+It also holds the one copy of each polyomino strategy the tests draw from.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
+
+from hypothesis import strategies as st
 
 from tilings.complexes import CubicalMatchingComplex, TilingFace
 from tilings.geometry import Point
@@ -111,3 +117,51 @@ def is_subcube(f: TilingFace, below: set[Matching],
             for m in below}
     patterns = {tuple(coords[m][i] for i in sorted(f.cycles)) for m in below}
     return len(below) == len(patterns) == 2 ** f.dim and len(pins) == 1
+
+
+def cells_connected(cells: set[tuple[int, int]]) -> bool:
+    """Whether the cells are edge-connected, by a search over the four
+    neighbours of each cell."""
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
+    while stack:
+        r, c = stack.pop()
+        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(cells)
+
+
+# -- polyomino strategies -------------------------------------------------------
+
+
+@st.composite
+def grown_polyominoes(draw, max_cells=12):
+    """An even number of cells, at most max_cells, grown one edge-neighbour
+    at a time."""
+    n = 2 * draw(st.integers(1, max_cells // 2))
+    cells = {(0, 0)}
+    while len(cells) < n:
+        boundary = sorted({nb for r, c in cells
+                           for nb in ((r + 1, c), (r - 1, c),
+                                      (r, c + 1), (r, c - 1))} - cells)
+        cells.add(draw(st.sampled_from(boundary)))
+    return frozenset(cells)
+
+
+@st.composite
+def punched_boxes(draw):
+    """A box of 12 cells with a few cells taken out: many overlapping
+    squares."""
+    rows, cols = draw(st.sampled_from([(3, 4), (4, 3), (2, 6)]))
+    box = sorted((r, c) for r in range(rows) for c in range(cols))
+    return frozenset(box) - draw(st.sets(st.sampled_from(box), max_size=4))
+
+
+def polyominoes():
+    """Connected polyominoes of at most 12 cells, an even number of them;
+    holes are kept, and a hole can be an even region too."""
+    return st.one_of(grown_polyominoes(), punched_boxes()).filter(
+        lambda cells: len(cells) % 2 == 0 and cells_connected(set(cells)))

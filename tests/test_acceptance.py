@@ -51,7 +51,7 @@ def corpus():
 def test_acceptance_criterion(number, corpus):
     check_id, title, limit, cases = CRITERIA[number]
     start = time.monotonic()
-    result = _BY_ID[check_id](corpus, corpus.bounds)
+    result = _BY_ID[check_id](corpus)
     elapsed = time.monotonic() - start
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} criterion {number:2d} [{check_id}] {title} "

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from tilings import cli
 from tilings.cli import main
+from tilings.fibpoly import ONE
+from tilings.verify import run_verification
 
 
 def run(capsys, *argv):
@@ -149,6 +152,41 @@ def test_options_no_command_reads_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "501", "--scope", "closed"],
+    ["verify", "--max-d", "51", "--scope", "a-map"],
+    ["poly", "F", "2001"], ["poly", "P", "2001"], ["poly", "closed", "2001"],
+    ["poly", "A", "101"]],
+    ids=["max-n", "max-d", "poly-F", "poly-P", "poly-closed", "poly-A"])
+def test_sizes_above_the_limits_fail_before_any_work(capsys, monkeypatch,
+                                                    argv):
+    # The first value above each limit, rejected before any work starts.
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+    for name in ("run_verification", "f_polynomial", "p_polynomial",
+                 "p_closed_form", "apply_A"):
+        monkeypatch.setattr(cli, name, work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at most" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "500", "--max-d", "50"], ["poly", "F", "2000"],
+    ["poly", "P", "2000"], ["poly", "closed", "2000"], ["poly", "A", "100"]],
+    ids=["verify", "poly-F", "poly-P", "poly-closed", "poly-A"])
+def test_sizes_at_the_limits_are_accepted(capsys, monkeypatch, argv):
+    # The work is stubbed: only the limits are under test.
+    for name in ("f_polynomial", "p_polynomial", "p_closed_form", "apply_A"):
+        monkeypatch.setattr(cli, name, lambda *args: ONE)
+    kozlov = run_verification("kozlov")
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: kozlov)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 def test_verify_smallest_bounds_run(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-d", "1",
                        "--budget", "0", "--scope", "closed")
@@ -221,3 +259,17 @@ def test_import_leaves_networkx_unloaded():
             "assert 'networkx' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+@pytest.mark.parametrize("cells", [2000, 20000])
+def test_complex_runs_on_long_strips(tmp_path, cells):
+    # A one-row strip has one tiling, found by a search one move per two
+    # cells deep: deeper than the interpreter's default recursion limit.
+    path = tmp_path / "strip.txt"
+    path.write_text("#" * cells + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "tilings.cli", "complex", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert "f_vector: [1]\n" in done.stdout

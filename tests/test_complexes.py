@@ -2,9 +2,8 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from reference import face_leq
+from reference import face_leq, polyominoes
 from tilings.complexes import (TilingFace, build_complex,
                                verify_edge_decomposition)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
@@ -12,7 +11,7 @@ from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               triangular_prism)
 from tilings.matchings import Matching, enumerate_perfect_matchings
 from tilings.planar import (GraphError, PlanarGraph, build_ladder,
-                            cells_connected, graph_from_cells)
+                            graph_from_cells)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -206,7 +205,7 @@ class TestEdgeDecomposition:
 def brute_force_faces(g):
     """Independent sets of even regions times the perfect matchings of the
     rest, every matching found among all edge subsets of the right size."""
-    even = [i for i, r in enumerate(g.regions) if r.parity == "even"]
+    even = [i for i, r in enumerate(g.regions) if r.alternations]
     faces = []
     for k in range(len(even) + 1):
         for regions in itertools.combinations(even, k):
@@ -231,32 +230,8 @@ def assert_matches_brute_force(g):
         matchings, key=Matching.sorted_edges)
 
 
-@st.composite
-def grown_polyominoes(draw, max_cells=12):
-    """An even number of cells grown one edge-neighbour at a time."""
-    n = 2 * draw(st.integers(1, max_cells // 2))
-    cells = {(0, 0)}
-    while len(cells) < n:
-        boundary = sorted({nb for r, c in cells
-                           for nb in ((r + 1, c), (r - 1, c),
-                                      (r, c + 1), (r, c - 1))} - cells)
-        cells.add(draw(st.sampled_from(boundary)))
-    return frozenset(cells)
-
-
-@st.composite
-def punched_boxes(draw):
-    """A box of 12 cells with a few cells taken out: many overlapping
-    squares."""
-    rows, cols = draw(st.sampled_from([(3, 4), (4, 3), (2, 6)]))
-    box = sorted((r, c) for r in range(rows) for c in range(cols))
-    return frozenset(box) - draw(st.sets(st.sampled_from(box), max_size=4))
-
-
 def simply_connected_polyominoes():
-    return st.one_of(grown_polyominoes(), punched_boxes()).filter(
-        lambda cells: len(cells) % 2 == 0 and cells_connected(set(cells))
-        and is_simply_connected(cells))
+    return polyominoes().filter(is_simply_connected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,10 +275,8 @@ def assert_components_match(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(grown_polyominoes(), punched_boxes()).filter(
-    lambda cells: len(cells) % 2 == 0 and cells_connected(set(cells))))
+@given(polyominoes())
 def test_components_match_union_over_all_facets(cells):
-    # Polyominoes with holes are kept: a hole can be an even region too.
     assert_components_match(graph_from_cells(set(cells)))
 
 

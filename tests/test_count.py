@@ -15,19 +15,21 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 
 import tilings
+from reference import grown_polyominoes
 from test_complexes import simply_connected_polyominoes
-from test_matchings import polyominoes
 from test_planar import deletions
 from tilings import complexes
 from tilings.cli import main
 from tilings.complexes import (TilingFace, build_complex, count_f_vector,
                                edge_decompositions, verify_edge_decomposition)
+from tilings.fibpoly import f_polynomial
 from tilings.fixtures import core_fixture_names, named_fixture
 from tilings.matchings import _search_plan, count_on_plan, count_tilings
 from tilings.planar import build_ladder, graph_from_cells
@@ -44,7 +46,7 @@ def test_counts_match_enumeration_on_simply_connected_polyominoes(cells):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polyominoes())
+@given(grown_polyominoes().map(set))
 def test_counts_match_enumeration_on_polyominoes(cells):
     # Holes are kept: a hole can be an even region too.
     assert_counts_match(graph_from_cells(cells))
@@ -102,6 +104,18 @@ def test_rectangle_counts(shape):
     assert sum((-1) ** i * c for i, c in enumerate(counts)) == 1
 
 
+@pytest.mark.parametrize("n", [29, 399])
+def test_two_row_strip_counts_as_ladder(n):
+    # The strip of 2 rows and n + 1 columns of cells is the n-square ladder.
+    # Counted along its length the states span one column; counted row by
+    # row they would span a whole row, in time exponential in its length.
+    g = graph_from_cells({(r, c) for r in range(2) for c in range(n + 1)})
+    start = time.perf_counter()
+    counts = count_f_vector(g)
+    assert time.perf_counter() - start < 1
+    assert counts == list(f_polynomial(n).coeffs)
+
+
 def test_count_runs_without_recursion():
     # A fresh interpreter, with a recursion limit far below the 100
     # vertices of the 10x10 rectangle.
@@ -145,10 +159,10 @@ def test_counts_without_match_subgraph_counts(case):
     # the edge and its regions dropped counts the subgraph.
     g, rv, re = case
     edge = min(re, default=None)
-    plan = _search_plan(g.vertex_ids, g.adj,
-                        [(i, r.cycle) for i, r in enumerate(g.regions)
-                         if r.parity == "even"])
-    start = sum(1 << i for i, v in enumerate(g.vertex_ids) if v in rv)
+    plan, pos = _search_plan(g.vertex_ids, g.adj,
+                             [(i, r.cycle) for i, r in enumerate(g.regions)
+                              if r.alternations])
+    start = sum(1 << pos[v] for v in rv)
     labels = [i for i, r in enumerate(g.regions) if edge in r.edge_set]
     assert count_on_plan(plan, start, edge, labels) == count_f_vector(
         g.subgraph(remove_vertices=rv, remove_edges=[edge] if edge else []))

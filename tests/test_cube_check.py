@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import is_subcube, vertices_below
-from test_face_order import polyominoes
+from reference import is_subcube, polyominoes, vertices_below
 from test_fast_paths import Untouched
 from tilings.complexes import CubicalMatchingComplex, build_complex
 from tilings.matchings import cube_coordinates
@@ -78,9 +77,8 @@ def assert_edges_match_faces(k, rng):
 
 @pytest.mark.parametrize("seed", [0, 201])
 def test_check_matches_reference_on_corpus(seed):
-    bounds = Bounds(seed=seed)
-    corpus = Corpus(bounds)
-    assert list(check_cube.__wrapped__(corpus, bounds)) == \
+    corpus = Corpus(Bounds(seed=seed))
+    assert list(check_cube.__wrapped__(corpus)) == \
         list(cube_cases_by_faces(corpus))
     failures = 0
     for name, g in corpus.graphs():
@@ -99,13 +97,12 @@ def test_check_matches_reference_on_polyominoes(cells, rng):
 
 
 def test_check_cube_reads_no_face_above_dimension_1():
-    bounds = Bounds(max_ladder=5, max_cells=6, random_count=2)
-    corpus = Corpus(bounds)
-    want = check_cube(corpus, bounds)
+    corpus = Corpus(Bounds(max_ladder=5, max_cells=6, random_count=2))
+    want = check_cube(corpus)
     assert want.passed and want.checked > 0
     complexes = corpus._complexes
     assert max(k.dim for k in complexes.values()) >= 2
     for name, k in complexes.items():
         complexes[name] = CubicalMatchingComplex(
             k.graph, [f if f.dim < 2 else Untouched(*f) for f in k.faces])
-    assert check_cube(corpus, bounds) == want
+    assert check_cube(corpus) == want

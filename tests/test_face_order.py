@@ -16,48 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tilings
-from reference import face_leq, from_faces, vertices_below
+from reference import (face_leq, from_faces, grown_polyominoes, polyominoes,
+                       vertices_below)
 from tilings.complexes import (CubicalMatchingComplex, TilingFace,
                                build_complex)
 from tilings.fixtures import (core_fixture_names, figure_counterexample,
                               figure_g1, figure_g2, figure_g3, named_fixture,
                               triangular_prism)
 from tilings.matchings import enumerate_perfect_matchings
-from tilings.planar import (Region, build_ladder, cells_connected, edge_key,
-                            graph_from_cells)
+from tilings.planar import Region, build_ladder, edge_key, graph_from_cells
 from tilings.topology import collapse_search, link_of_face, z2_betti
 
 FIGURES = [figure_g1, figure_g2, figure_g3, figure_counterexample,
            triangular_prism]
-
-
-@st.composite
-def grown(draw, max_cells=12):
-    """An even number of cells, at most max_cells, grown one edge-neighbour
-    at a time."""
-    n = 2 * draw(st.integers(1, max_cells // 2))
-    cells = {(0, 0)}
-    while len(cells) < n:
-        boundary = sorted({nb for r, c in cells
-                           for nb in ((r + 1, c), (r - 1, c),
-                                      (r, c + 1), (r, c - 1))} - cells)
-        cells.add(draw(st.sampled_from(boundary)))
-    return frozenset(cells)
-
-
-@st.composite
-def punched(draw):
-    """A box of 12 cells with a few taken out: many squares, overlapping."""
-    rows, cols = draw(st.sampled_from([(3, 4), (4, 3), (2, 6)]))
-    box = sorted((r, c) for r in range(rows) for c in range(cols))
-    return frozenset(box) - draw(st.sets(st.sampled_from(box), max_size=4))
-
-
-def polyominoes():
-    """Connected polyominoes of at most 12 cells, an even number of them;
-    holes are kept, and a hole can be an even region too."""
-    return st.one_of(grown(), punched()).filter(
-        lambda cells: len(cells) % 2 == 0 and cells_connected(set(cells)))
 
 
 def faces_above_by_scan(k):
@@ -200,7 +171,7 @@ def assert_order_is_owned(k, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(grown(), st.randoms(use_true_random=False))
+@given(grown_polyominoes(), st.randoms(use_true_random=False))
 def test_order_is_owned_on_polyominoes(cells, rng):
     assert_order_is_owned(build_complex(graph_from_cells(set(cells))), rng)
 
@@ -277,7 +248,7 @@ TEST_ONLY = ["face_leq", "from_faces", "boundary_of_boundary_vanishes",
              "weak_dual", "DualGraph", "symmetric_difference_cycles",
              "CycleDecomposition", "region_order", "max_regions",
              "max_faces", "_vertices_below", "is_subcube", "_is_subcube",
-             "vertex_set", "_cell_label"]
+             "vertex_set", "_cell_label", "cells_connected", "parity"]
 
 
 def test_reference_names_stay_out_of_the_package():

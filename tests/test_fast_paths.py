@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_matchings import polyominoes
+from reference import grown_polyominoes
 from tilings.complexes import (CubicalMatchingComplex, TilingFace,
                                _even_regions, build_complex)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
@@ -126,7 +126,7 @@ def assert_fast_paths_match(g, seed=0):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polyominoes(max_cells=14), st.integers(0, 2**32 - 1))
+@given(grown_polyominoes(max_cells=14).map(set), st.integers(0, 2**32 - 1))
 def test_fast_paths_on_polyominoes(cells, seed):
     assert_fast_paths_match(graph_from_cells(cells), seed)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import cells_connected
 from tilings.complexes import build_complex
 from tilings.fixtures import (_has_perfect_matching, canonical_form,
                               core_fixture_names, free_polyominoes,
@@ -10,7 +11,7 @@ from tilings.fixtures import (_has_perfect_matching, canonical_form,
                               iter_fixture_graphs, named_fixture,
                               polyomino_zoo, random_quad_glued)
 from tilings.matchings import matchings_of_adjacency
-from tilings.planar import cells_connected, graph_from_cells
+from tilings.planar import graph_from_cells
 
 
 def test_figure_fixture_shapes():

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import cells_connected, grown_polyominoes
 from tilings import cli, complexes, matchings
 from tilings.fixtures import named_fixture
 from tilings.geometry import interior_point, point_in_polygon
 from tilings.matchings import (Matching, cube_coordinates,
                                enumerate_perfect_matchings)
 from tilings.planar import (GraphError, PlanarGraph, build_ladder,
-                            cells_connected, graph_from_cells)
+                            graph_from_cells)
 from tilings.verify import Bounds, Corpus, check_cube
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
@@ -227,22 +228,8 @@ def test_cube_coordinates_match_rational_reference(name):
         assert_cube_matches_reference(g, base_index)
 
 
-@st.composite
-def polyominoes(draw, max_cells=12):
-    """An even number of cells, up to 12, grown one edge-neighbour at a
-    time."""
-    n = 2 * draw(st.integers(1, max_cells // 2))
-    cells = {(0, 0)}
-    while len(cells) < n:
-        boundary = sorted({nb for r, c in cells
-                           for nb in ((r + 1, c), (r - 1, c),
-                                      (r, c + 1), (r, c - 1))} - cells)
-        cells.add(draw(st.sampled_from(boundary)))
-    return cells
-
-
 @settings(max_examples=60, deadline=None)
-@given(polyominoes(), st.integers(min_value=0))
+@given(grown_polyominoes().map(set), st.integers(min_value=0))
 def test_cube_coordinates_match_rational_reference_on_polyominoes(
         cells, base_index):
     assert cells_connected(cells)
@@ -263,12 +250,11 @@ def forbid_search(monkeypatch):
 
 
 def test_check_cube_runs_no_search(monkeypatch):
-    bounds = Bounds(max_ladder=3, max_cells=6, random_count=2)
-    corpus = Corpus(bounds)
+    corpus = Corpus(Bounds(max_ladder=3, max_cells=6, random_count=2))
     for name, g in corpus.graphs():
         corpus.complex(name, g)
     forbid_search(monkeypatch)
-    result = check_cube(corpus, bounds)
+    result = check_cube(corpus)
     assert result.passed and result.checked > 0
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,7 +35,7 @@ class TestConstruction:
         g = PlanarGraph(SQUARE, SQUARE_EDGES)
         assert len(g.regions) == 1
         assert set(g.regions[0].cycle) == {0, 1, 2, 3}
-        assert g.regions[0].parity == "even"
+        assert len(g.regions[0].alternations) == 2
 
     def test_figure_g1_has_three_regions(self):
         g = figure_g1()
@@ -126,8 +127,10 @@ class TestPolyomino:
         assert g.regions == ()
 
     def test_disconnected_cells_rejected(self):
-        with pytest.raises(GraphError, match="not edge-connected"):
-            build_from_polyomino("#.#")
+        # Two cells apart, and one cell in the hole of a ring.
+        for grid in ("#.#", "#####\n#...#\n#.#.#\n#...#\n#####"):
+            with pytest.raises(GraphError, match="not edge-connected"):
+                build_from_polyomino(grid)
 
     def test_bad_character_rejected(self):
         with pytest.raises(GraphError, match="unexpected character"):
@@ -268,11 +271,13 @@ class TestReduce:
         assert len(calls) == 1
 
 
-def test_euler_formula_validated():
-    # Constructed graphs always satisfy Euler; spot-check the counts used.
-    for g in [figure_g1(), build_ladder(5), build_ladder(4, bump=2)]:
-        for labels in [g.component_labels()]:
-            assert len(set(labels.values())) == 1
+def test_euler_guard_rejects_crossing_diagonals():
+    # Unchecked for crossings, the square with both diagonals traces two
+    # faces where Euler's formula wants four.
+    with pytest.raises(GraphError, match=re.escape(
+            "Euler formula fails on component 0: V=4 E=6 F=2")):
+        PlanarGraph(SQUARE, SQUARE_EDGES + [(0, 2), (1, 3)],
+                    check_crossings=False)
 
 
 # -- sub-embeddings against a full rebuild ------------------------------------

@@ -56,7 +56,7 @@ def test_fault_injection_produces_witness():
     g = graphs[idx][1]
     broken = PlanarGraph(g.coords, g.edges, regions=[])
     graphs[idx] = ("ladder-1", broken)
-    result = check_cube(corpus, SMALL)
+    result = check_cube(corpus)
     assert not result.passed
     assert result.witness == {"fixture": "ladder-1", "part": "injectivity"}
     # ladder-1 is the sixth fixture, and the cases up to the failing one
@@ -71,7 +71,7 @@ def test_corrupted_complex_fails_euler():
     name, g = next((n, g) for n, g in corpus.graphs() if n == "ladder-3")
     k = corpus.complex(name, g)
     corpus._complexes[name] = CubicalMatchingComplex(g, k.faces[:-1])
-    result = check_euler(corpus, SMALL)
+    result = check_euler(corpus)
     assert not result.passed
     assert result.witness == {"fixture": "ladder-3", "f_vector": [5, 5],
                               "components": 1}
@@ -89,7 +89,7 @@ def test_contractibility_names_a_hollow_component():
     hollow = CubicalMatchingComplex(g, corpus.complex(name, g).faces[:-1])
     assert z2_betti(hollow) == (1, 1)
     corpus._components[name] = [*corpus.components(name, g), hollow]
-    result = check_contractibility(corpus, SMALL)
+    result = check_contractibility(corpus)
     assert not result.passed
     assert result.witness == {
         "fixture": "ladder-3", "verdict": "not_collapsible",
@@ -112,7 +112,7 @@ def test_contractibility_builds_each_poset_once(monkeypatch):
     corpus = Corpus(SMALL)
     comps = [c for name, g in corpus.graphs()
              for c in corpus.components(name, g)]
-    result = check_contractibility(corpus, SMALL)
+    result = check_contractibility(corpus)
     assert result.passed and result.checked == len(comps)
     assert calls == comps
 
@@ -125,15 +125,15 @@ def test_corpus_computes_components_once(monkeypatch):
     corpus = Corpus(SMALL)
     checks = dict(CHECKS)
     for check_id in ("euler", "affine", "contractibility"):
-        assert checks[check_id](corpus, SMALL).passed
+        assert checks[check_id](corpus).passed
     assert len(calls) == len(corpus.graphs())
 
 
 def test_checks_report_case_counts():
     corpus = Corpus(SMALL)
-    assert check_kozlov(corpus, SMALL).checked == 22
-    assert check_counterexample(corpus, SMALL).checked == 1
-    assert check_cube(corpus, SMALL).checked > 0
+    assert check_kozlov(corpus).checked == 22
+    assert check_counterexample(corpus).checked == 1
+    assert check_cube(corpus).checked > 0
 
 
 def _check_result_calls(tree):
@@ -159,7 +159,7 @@ def test_checks_are_plain_functions_returning_their_results():
     for check_id, fn in CHECKS:
         assert isinstance(check_id, str)
         assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn)
-        result = fn(corpus, SMALL)
+        result = fn(corpus)
         assert isinstance(result, CheckResult)
         assert result.check_id == check_id
 
@@ -187,8 +187,8 @@ def test_corpus_builds_each_link_model_once(monkeypatch):
                         lambda h: calls.append(h) or original(h))
     corpus = Corpus(SMALL)
     checks = dict(CHECKS)
-    links = checks["links"](corpus, SMALL)
-    bipartite = checks["bipartite"](corpus, SMALL)
+    links = checks["links"](corpus)
+    bipartite = checks["bipartite"](corpus)
     assert links.passed and bipartite.passed
     assert len(calls) == len(corpus._link_models) < links.checked
     keys = {frozenset((r, frozenset(nbrs)) for r, nbrs in h.items())
@@ -203,7 +203,7 @@ def test_corrupted_link_model_fails_links():
     f = k.faces[0]
     corpus.link_model(matched_region_graph(k, f)).complex = \
         independence_complex({99: set()})
-    result = dict(CHECKS)["links"](corpus, SMALL)
+    result = dict(CHECKS)["links"](corpus)
     assert not result.passed and result.checked == 1
     assert result.witness == {
         "fixture": name,
@@ -222,7 +222,7 @@ def test_links_fail_on_a_complex_without_a_face():
     corpus = Corpus(SMALL)
     corpus._graphs = [("ladder-3", g)]
     corpus._complexes["ladder-3"] = CubicalMatchingComplex(g, k.faces[:-1])
-    result = dict(CHECKS)["links"](corpus, SMALL)
+    result = dict(CHECKS)["links"](corpus)
     assert not result.passed
     below = [{"matching": [list(e) for e in f.matching],
               "cycles": sorted(f.cycles)}
