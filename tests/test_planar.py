@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import weak_dual
+from reference import cells_connected, weak_dual
 from tilings import planar
 from tilings.geometry import (on_segment, segments_cross_improperly,
                               segments_intersect)
@@ -345,6 +345,18 @@ def _lattice_drawings():
     for n in range(1, 9):
         for bump in [None, *range(1, n + 1)]:
             yield build_ladder(n, bump)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1,
+               max_size=16))
+def test_cells_rejected_exactly_when_not_edge_connected(cells):
+    # The graph's component labels against a search over the cells.
+    if cells_connected(cells):
+        graph_from_cells(cells)
+    else:
+        with pytest.raises(GraphError, match="not edge-connected"):
+            graph_from_cells(cells)
 
 
 def test_lattice_builders_need_no_crossing_check():
