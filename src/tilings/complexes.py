@@ -14,7 +14,7 @@ from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
                     Sequence)
 
 from .matchings import (Matching, _search_plan, count_on_plan,
-                        count_tilings, matchings_of_adjacency)
+                        count_tilings, enumerate_perfect_matchings)
 from .planar import Edge, GraphError, PlanarGraph, edge_key
 
 
@@ -147,18 +147,30 @@ def _counting_order(g: PlanarGraph) -> list[int]:
 
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
-    from the one search of :func:`matchings_of_adjacency`, in the order of
-    :meth:`TilingFace.sort_key`.
+    in the order of :meth:`TilingFace.sort_key`, built upward from the
+    perfect matchings of :func:`enumerate_perfect_matchings`.
 
-    The search yields the tilings of each region set S in order of their
-    sorted edge lists, since g keeps its adjacency lists sorted; so the
-    faces are grouped by S and only the distinct sets are sorted."""
-    groups: dict[frozenset[int], list[TilingFace]] = {}
-    for m, s in matchings_of_adjacency(g.vertex_ids, g.adj, _even_regions(g)):
-        groups.setdefault(s, []).append(TilingFace(m, s))
-    return CubicalMatchingComplex(g, [
-        f for s in sorted(groups, key=lambda s: (len(s), sorted(s)))
-        for f in groups[s]])
+    The tilings of S | {r}, r above every region of S, are those of S whose
+    matching holds r's first alternation, with it removed.  So the sets
+    come out in order of (len S, sorted S), and each set's tilings in order
+    of their sorted edge lists, which removing a common edge set keeps.  A
+    region that shares a vertex with S is skipped by its vertex bits."""
+    bit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+    even = [(i, r.alternations[0], sum(bit[v] for v in r.cycle))
+            for i, r in enumerate(g.regions) if r.alternations]
+    # (S, the vertices of S, the first index of ``even`` above S, the
+    # matchings of S); the loop reads the groups it appends.
+    groups = [(frozenset(), 0, 0, enumerate_perfect_matchings(g))]
+    faces = []
+    for s, covered, start, ms in groups:
+        faces += [TilingFace(m, s) for m in ms]
+        for j in range(start, len(even)):
+            label, alt, mask = even[j]
+            if not covered & mask:
+                up = [Matching(m - alt) for m in ms if alt <= m]
+                if up:
+                    groups.append((s | {label}, covered | mask, j + 1, up))
+    return CubicalMatchingComplex(g, faces)
 
 
 def count_f_vector(g: PlanarGraph) -> list[int]:

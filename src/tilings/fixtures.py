@@ -87,32 +87,36 @@ def triangular_prism() -> PlanarGraph:
 # -- polyomino zoo -----------------------------------------------------------------
 
 
-def _orbit(cells: frozenset[Cell], w: int) -> list[tuple[int, ...]]:
+def _orbit(cells: frozenset[Cell], w: int) -> list[int]:
     """The images of the cells under the 8 square symmetries, each moved to
-    touch both axes and coded as the sorted ints r*w + c.  With w above
-    every column the codes sort like the (r, c) pairs, so the least image
-    is the one whose sorted cell list is least."""
+    touch both axes and coded as one int with bit w*w - 1 - (r*w + c) set
+    for each cell (r, c), w above every row and column.  The highest bit
+    where two codes differ is the least cell in one image only, so the
+    greatest code is the image whose sorted cell list is least."""
     rs, cs = zip(*cells)
     r0, r1, c0, c1 = min(rs), max(rs), min(cs), max(cs)
     down = [r - r0 for r in rs]
     up = [r1 - r for r in rs]
     right = [c - c0 for c in cs]
     left = [c1 - c for c in cs]
-    return [tuple(sorted([a * w + b for a, b in zip(rows, cols)]))
+    top = w * w - 1
+    return [sum(1 << (top - a * w - b) for a, b in zip(rows, cols))
             for rows, cols in ((down, right), (down, left), (up, right),
                                (up, left), (right, down), (right, up),
                                (left, down), (left, up))]
 
 
-def _decode(code: tuple[int, ...], w: int) -> frozenset[Cell]:
-    return frozenset(divmod(x, w) for x in code)
+def _decode(code: int, w: int) -> frozenset[Cell]:
+    # Bit w*w - 1 - x is digit x of the w*w binary digits.
+    return frozenset(divmod(x, w) for x, b in
+                     enumerate(format(code, f"0{w * w}b")) if b == "1")
 
 
 def canonical_form(cells: frozenset[Cell]) -> frozenset[Cell]:
     """Representative of the polyomino modulo the 8 square symmetries: the
     translated image whose sorted cell list is least."""
     w = 1 + max(max(axis) - min(axis) for axis in zip(*cells))
-    return _decode(min(_orbit(cells, w)), w)
+    return _decode(max(_orbit(cells, w)), w)
 
 
 def is_simply_connected(cells: frozenset[Cell]) -> bool:
@@ -133,36 +137,37 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
     in the order of their sorted cell lists.
 
     Each child P | {nb} of a smaller free polyomino P is looked up by its
-    translated cell codes (width n, above every column), held as the bits
-    of one int; the first child of each symmetry class has its orbit
-    computed once, all 8 images marked seen and the least one kept
-    (Redelmeier's generate-and-canonicalise).
+    translated code of :func:`_orbit` (width n, above every row and
+    column); the first child of each symmetry class has its orbit coded
+    once, all 8 images marked seen and the greatest code, the least cell
+    list, kept (Redelmeier's generate-and-canonicalise).
     """
     if n == 1:
         return (frozenset({(0, 0)}),)
+    top = n * n - 1
     seen: set[int] = set()
     kept = []
     for smaller in free_polyominoes(n - 1):
-        bits = sum(1 << (r * n + c) for r, c in smaller)
+        bits = sum(1 << (top - r * n - c) for r, c in smaller)
         free = {nb for r, c in smaller
                 for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
                 if nb not in smaller}
         for nr, nc in free:
             # smaller touches both axes, so only a cell at -1 shifts it.
             dr, dc = (nr < 0), (nc < 0)
-            key = bits << (dr * n + dc) | 1 << ((nr + dr) * n + nc + dc)
+            key = bits >> (dr * n + dc) | 1 << (top - (nr + dr) * n - nc - dc)
             if key in seen:
                 continue
             orbit = _orbit(smaller | {(nr, nc)}, n)
-            seen.update(sum(1 << x for x in code) for code in orbit)
-            kept.append(min(orbit))
+            seen.update(orbit)
+            kept.append(max(orbit))
     del seen  # before the level's frozensets, to lower the peak
-    kept.sort()
+    kept.sort(reverse=True)
     return tuple(_decode(code, n) for code in kept)
 
 
 def _has_perfect_matching(cells: frozenset[Cell]) -> bool:
-    """Whether the cells have a domino tiling, by the one tiling search.
+    """Whether the cells have a domino tiling, by the perfect matching search.
 
     A domino covers one cell of each checkerboard colour, so cells whose
     colours differ in number are rejected before the search."""

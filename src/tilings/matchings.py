@@ -39,71 +39,52 @@ class Matching(frozenset):
 
 
 def enumerate_perfect_matchings(g: PlanarGraph) -> list[Matching]:
-    """All perfect matchings, sorted lexicographically by sorted edge list.
-
-    These are the tilings of g without regions, found by the search of
-    :func:`matchings_of_adjacency`.
-    """
-    return [m for m, _ in matchings_of_adjacency(g.vertex_ids, g.adj)]
+    """All perfect matchings, sorted lexicographically by sorted edge list,
+    found by the search of :func:`matchings_of_adjacency`."""
+    return matchings_of_adjacency(g.vertex_ids, g.adj)
 
 
-def matchings_of_adjacency(
-        vertices: Sequence[int],
-        adj: Mapping[int, Sequence[int]],
-        regions: Iterable[tuple[int, Iterable[int]]] = (),
-) -> list[tuple[Matching, frozenset[int]]]:
-    """Every tiling (M, S) of a bare adjacency structure: a matching M and a
-    set S of vertex-disjoint regions that together cover every vertex.
-
-    ``regions`` lists (label, vertices) pairs of even regions; S holds their
-    labels.  One backtracking search takes the first uncovered vertex v of
-    ``vertices`` and covers it either by an edge to an uncovered neighbour
-    or by a region whose first vertex is v and whose vertices are all
-    uncovered, so each tiling is found exactly once.  Edges are tried before
-    regions, in the order of ``adj``.  With sorted vertices and lists, as a
-    PlanarGraph keeps them, the tilings that share one region set S come out
-    in lexicographic order of their sorted edge lists: where two of them
-    first differ, both cover the same vertex v, and by an edge, since a
-    region covering v would be in S for both.
+def matchings_of_adjacency(vertices: Sequence[int],
+                           adj: Mapping[int, Sequence[int]]
+                           ) -> list[Matching]:
+    """Every perfect matching of a bare adjacency structure, each found
+    once by a backtracking search that covers the first uncovered vertex of
+    ``vertices`` by an edge to each uncovered neighbour in the order of
+    ``adj``.  With sorted vertices and lists, as a PlanarGraph keeps them,
+    the matchings come out in lexicographic order of their sorted edge
+    lists: where two first differ, both cover one vertex, by different edges.
 
     The covered vertices are the bits of one int, bit i standing for
     ``vertices[i]``; the moves come from :func:`_search_plan`.  The search
-    nests one call per move, so the interpreter's recursion limit is raised
-    by the most moves a tiling makes for the call, then restored.
+    nests one call per edge, so the interpreter's recursion limit is raised
+    by the most edges a matching has for the call, then restored.
     """
-    # Edges and even regions each cover an even number of vertices.
     if len(vertices) % 2 == 1:
         return []
-    moves, _ = _search_plan(vertices, adj, regions)
+    moves, _ = _search_plan(vertices, adj, ())
     full = (1 << len(moves)) - 1
     edges: list[Edge] = []
-    out: list[tuple[Matching, frozenset[int]]] = []
+    out: list[Matching] = []
 
-    # ``used`` is shared by every tiling found below one choice of regions.
-    def search(covered: int, used: frozenset[int]) -> None:
+    def search(covered: int) -> None:
         if covered == full:
-            out.append((Matching(edges), used))
+            out.append(Matching(edges))
             return
         # The first uncovered vertex: the lowest zero bit of ``covered``.
-        edge_moves, region_moves = moves[(~covered & (covered + 1))
-                                         .bit_length() - 1]
-        for b, e in edge_moves:
+        for b, e in moves[(~covered & (covered + 1)).bit_length() - 1][0]:
             if not covered & b:
                 edges.append(e)
-                search(covered | b, used)
+                search(covered | b)
                 edges.pop()
-        for b, label in region_moves:
-            if not covered & b:
-                search(covered | b, used | {label})
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + len(moves) // 2 + 1)
     try:
-        search(0, frozenset())
+        search(0)
     finally:
         sys.setrecursionlimit(limit)
     # Break the cycle search -> closure -> search, which would keep every
-    # tiling found alive until the next full garbage collection.
+    # matching found alive until the next full garbage collection.
     del search
     return out
 
@@ -115,9 +96,9 @@ def _search_plan(order: Sequence[int],
                  adj: Mapping[int, Sequence[int]],
                  regions: Iterable[tuple[int, Iterable[int]]]
                  ) -> tuple[_Moves, dict[int, int]]:
-    """The moves of the tiling search at each index i of its vertex order
-    ``order``, when ``order[i]`` is the first uncovered vertex, and each
-    vertex's index in the order, the number of its bit in every mask.
+    """The moves of the matching search and the tiling count at each index
+    i of their vertex order ``order``, when ``order[i]`` is the first
+    uncovered vertex, and each vertex's index, the number of its bit.
 
     Every vertex before i is covered then, so the moves are the edges to
     later neighbours, as (mask, edge) pairs in the order of ``adj`` with
@@ -139,9 +120,11 @@ def count_tilings(vertices: Sequence[int],
                   adj: Mapping[int, Sequence[int]],
                   regions: Iterable[tuple[int, Iterable[int]]] = ()
                   ) -> list[int]:
-    """The f-vector of the tilings of :func:`matchings_of_adjacency`: entry
-    i is the number of tilings with i regions, trailing zeros trimmed, and
-    ``[]`` when there is no tiling.  No tiling is built.
+    """The f-vector of the tilings (M, S) of a bare adjacency structure, M a
+    matching and S a set of vertex-disjoint regions among ``regions``, given
+    as (label, vertices) pairs of even regions, that together cover every
+    vertex: entry i is the number of tilings with i regions, trailing zeros
+    trimmed, and ``[]`` when there is no tiling.  No tiling is built.
 
     The search plan of :func:`_search_plan` in the order of ``vertices``,
     counted by :func:`count_on_plan`.

@@ -1,11 +1,12 @@
 """The tiling counter against enumeration, and where counting builds no
 faces.
 
-``count_tilings`` makes the moves of ``matchings_of_adjacency`` forward,
-merging equal covered sets, so ``build_complex(g).f_vector()`` is its
-reference on every graph small enough to enumerate.  The rectangles are
-pinned to the broken-profile transfer matrix of the benchmark's oracle
-(``perfbench/oracles.py::tiling_counts``).
+``count_tilings`` makes the moves of the search plan, an edge or an even
+region covering the first uncovered vertex, forward over the vertex order,
+merging equal covered sets.  ``build_complex`` builds every tiling, so its
+``f_vector()`` is the count's reference on every graph small enough to
+enumerate.  The rectangles are pinned to the broken-profile transfer matrix
+of the benchmark's oracle (``perfbench/oracles.py::tiling_counts``).
 """
 
 import ast

@@ -1,11 +1,13 @@
 """The fast paths of the complex build against the paths they replace.
 
 ``matchings_of_adjacency`` keeps the covered vertices as the bits of one int
-and reads a move table; ``build_complex`` groups the faces by region set and
-sorts only the sets; ``connected_components`` joins vertices along the
-1-skeleton.  Their references are kept here: the search over a set of
-covered vertices, a sort of every face by ``TilingFace.sort_key``, and a
-union-find over every face.
+and reads a move table; ``build_complex`` builds each face upward from a
+perfect matching by taking out one region's alternation at a time, in
+order and with no sort; ``count_tilings`` merges equal covered sets;
+``connected_components`` joins vertices along the 1-skeleton.  Their
+references are kept here: a search for every tiling, regions as moves,
+over a set of covered vertices; a sort of its tilings by
+``TilingFace.sort_key``; and a union-find over every face.
 """
 
 import random
@@ -14,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import grown_polyominoes
+from reference import grown_polyominoes, polyominoes
 from tilings.complexes import (CubicalMatchingComplex, TilingFace,
                                _even_regions, build_complex)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               figure_g3, triangular_prism)
 from tilings.matchings import Matching, count_tilings, matchings_of_adjacency
-from tilings.planar import PlanarGraph, build_from_polyomino, graph_from_cells
+from tilings.planar import (PlanarGraph, build_from_polyomino,
+                            build_planar_graph, graph_from_cells)
 
 FIGURES = [figure_g1, figure_g2, figure_g3, figure_counterexample,
            triangular_prism]
@@ -99,10 +102,9 @@ def never_called(self):
 def assert_fast_paths_match(g, seed=0):
     regions = _even_regions(g)
     want = set_search(g.vertex_ids, g.adj, regions)
-    # The same tilings, in the same order, with and without regions.
-    assert matchings_of_adjacency(g.vertex_ids, g.adj, regions) == want
+    # The same perfect matchings, in the same order.
     assert (matchings_of_adjacency(g.vertex_ids, g.adj)
-            == set_search(g.vertex_ids, g.adj))
+            == [m for m, _ in set_search(g.vertex_ids, g.adj)])
     counts = [0] * (max((len(s) for _, s in want), default=-1) + 1)
     for _, s in want:
         counts[len(s)] += 1
@@ -129,6 +131,33 @@ def assert_fast_paths_match(g, seed=0):
 @given(grown_polyominoes(max_cells=14).map(set), st.integers(0, 2**32 - 1))
 def test_fast_paths_on_polyominoes(cells, seed):
     assert_fast_paths_match(graph_from_cells(cells), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyominoes().map(set), st.integers(0, 2**32 - 1))
+def test_fast_paths_on_holed_polyominoes(cells, seed):
+    # Punched boxes keep their holes, and a hole can be an even region that
+    # shares its vertices with the squares around it.
+    assert_fast_paths_match(graph_from_cells(cells), seed)
+
+
+@pytest.mark.parametrize("text", ["###\n#.#\n###", "####\n#..#\n#..#\n####",
+                                  "#####\n#.###\n###.#\n#####"])
+def test_fast_paths_on_shapes_with_holes(text):
+    assert_fast_paths_match(build_from_polyomino(text))
+
+
+def test_fast_paths_on_untileable_shape():
+    # Six cells, three of each colour, with no domino tiling.
+    g = build_from_polyomino(".#..\n####\n..#.")
+    assert_fast_paths_match(g)
+    assert build_complex(g).f_vector() == []
+
+
+def test_fast_paths_on_empty_graph():
+    g = build_planar_graph({"vertices": [], "edges": []})
+    assert_fast_paths_match(g)
+    assert build_complex(g).f_vector() == [1]
 
 
 @pytest.mark.parametrize("build", FIGURES)

@@ -2,7 +2,8 @@
 
 The tables hold the SHA-256 of
 ``tilings complex NAME --betti --collapse --cube --format json`` for each
-core fixture and for polyomino files of rectangles larger than any of them.
+core fixture, for polyomino files of rectangles larger than any of them, and
+for a few files whose regions are not all squares or that have no tiling.
 A refactor that changes any byte of that output fails here; the tables
 change only with an intended change of output.  ``SHAPE_DIGESTS`` pins the
 corpus shapes themselves: names and sorted cells of the polyomino zoo and
@@ -134,6 +135,28 @@ RECTANGLE_DIGESTS = {
         "9ccb283ae962e3a5e73e0eef51ad79283b72fd9c6dd51bfa376a602cd58752a6",
 }
 
+# Input files whose regions are not all squares, or that have no tiling:
+# the rings' holes are 8- and 12-cycles, the third shape has two holes, the
+# fourth has three cells of each colour and no tiling, and the empty graph
+# has the one empty tiling.
+SHAPE_FILE_DIGESTS = {
+    "ring-3x3.txt": ("###\n#.#\n###\n",
+                     "bfb12a6f8f7220b2da2d34f277593d4f"
+                     "9985292fb80f25ba700cab73684ce7c2"),
+    "ring-4x4.txt": ("####\n#..#\n#..#\n####\n",
+                     "3988bd691dbbf6eb1ad2952c6cae1239"
+                     "3294a50997cc569fbd06936fe4f47e9f"),
+    "two-holes.txt": ("#####\n#.###\n###.#\n#####\n",
+                      "14b2560cc464a99d91422f0ce5daf2d0"
+                      "9437e6b8042d13e77b017a1afd4700c0"),
+    "untileable.txt": (".#..\n####\n..#.\n",
+                       "053f3f5c4208ad80365cd0a6d98b9d8f"
+                       "4c6513e4debaff9d5697fb96944b707b"),
+    "empty.json": ('{"vertices":[],"edges":[]}\n',
+                   "2b4120df9284df1162d00a9e8ee084be"
+                   "89774c4c677c005fee1a98d0be06a7da"),
+}
+
 # SHA-256 of repr([(name, sorted(cells)), ...]); cells are sorted because a
 # frozenset's repr order is not stable.
 SHAPE_DIGESTS = {
@@ -216,6 +239,18 @@ def test_rectangle_output_digest(capsys, tmp_path, rows, cols):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == RECTANGLE_DIGESTS[rows, cols])
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_FILE_DIGESTS))
+def test_shape_file_output_digest(capsys, tmp_path, name):
+    text, want = SHAPE_FILE_DIGESTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["complex", str(path), "--betti", "--collapse", "--cube",
+                 "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("which", sorted(SHAPE_DIGESTS))

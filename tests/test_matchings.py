@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import cells_connected, grown_polyominoes
-from tilings import cli, complexes, matchings
+from tilings import cli, matchings
 from tilings.fixtures import named_fixture
 from tilings.geometry import interior_point, point_in_polygon
 from tilings.matchings import (Matching, cube_coordinates,
@@ -243,8 +243,8 @@ def forbid_search(monkeypatch):
     """Make every run of the matching search, from now on, fail."""
     def search(*args, **kwargs):
         raise AssertionError("the matching search ran")
-    for mod in (matchings, complexes):
-        monkeypatch.setattr(mod, "matchings_of_adjacency", search)
+    # complexes reaches the search only through enumerate_perfect_matchings.
+    monkeypatch.setattr(matchings, "matchings_of_adjacency", search)
     with pytest.raises(AssertionError, match="search ran"):
         enumerate_perfect_matchings(build_ladder(2))
 
