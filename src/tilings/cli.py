@@ -3,9 +3,10 @@
 Subcommands: ``complex`` (invariants of one graph), ``count`` (its f-vector
 and Euler characteristic, counted with no face built), ``poly`` (polynomial
 calculus), ``verify`` (the full check suite), ``fixtures list|dump``.
-Output is byte-stable for fixed inputs and seeds.  The environment variable
-``TILINGS_FIXTURE_DIR`` points fixture lookup at a directory of JSON graph
-files that take precedence over the built-in corpus.
+Output is byte-stable for fixed inputs; ``verify --seed`` picks the random
+shapes of its corpus.  The environment variable ``TILINGS_FIXTURE_DIR``
+points fixture lookup at a directory of JSON graph files that take
+precedence over the built-in corpus.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def cmd_complex(args) -> int:
     if args.betti:
         payload["z2_betti"] = list(z2_betti(k)) if k.faces else []
     if args.collapse:
-        verdict = collapse_search(k, budget=args.budget, seed=args.seed)
+        verdict = collapse_search(k)
         payload["collapse"] = {"status": verdict.status,
                                "reason": verdict.reason}
     if args.cube:
@@ -135,7 +136,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bounds = Bounds(seed=args.seed, budget=args.budget)
+    bounds = Bounds(seed=args.seed)
     if args.max_n is not None:
         bounds.max_n = args.max_n
         bounds.max_ladder = min(bounds.max_ladder, args.max_n)
@@ -181,17 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     def output(p):
         p.add_argument("--format", choices=["json", "table"], default="table")
 
-    def search(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=20000)
-
     p = sub.add_parser("complex", help="invariants of one graph")
     p.add_argument("input", help="fixture name, graph .json, or polyomino file")
     p.add_argument("--betti", action="store_true")
     p.add_argument("--collapse", action="store_true")
     p.add_argument("--cube", action="store_true")
     output(p)
-    search(p)
     p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("count", help="f-vector of one graph, no faces built")
@@ -209,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="all")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-d", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     output(p)
-    search(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fixtures", help="list or dump the fixture corpus")
@@ -240,16 +236,14 @@ def _at_most(name: str, value: int, most: int) -> int:
 def _check_limits(args) -> None:
     """Reject size bounds that would make a run vacuous, meaningless or
     unbounded, for the options the command has."""
-    for option, least, most in (("budget", 0, None), ("max_n", 1, _MAX_N),
-                                ("max_d", 1, _MAX_D)):
+    for option, most in (("max_n", _MAX_N), ("max_d", _MAX_D)):
         value = getattr(args, option, None)
         if value is None:
             continue
         flag = "--" + option.replace("_", "-")
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, not {value}")
-        if most is not None:
-            _at_most(flag, value, most)
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, not {value}")
+        _at_most(flag, value, most)
 
 
 def main(argv=None) -> int:

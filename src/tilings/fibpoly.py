@@ -152,8 +152,8 @@ p_raw = p_polynomial
 
 def p_closed_form(n: int) -> Poly:
     """Binomial closed form: the x^k coefficient is C(n+1-k, k)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     d = (n + 1) // 2
     return Poly([comb(n + 1 - k, k) for k in range(d + 1)])
 

@@ -41,7 +41,6 @@ class Bounds:
     max_d: int = 8
     seed: int = 0
     random_count: int = 20
-    budget: int = 20000
 
 
 @dataclass
@@ -375,10 +374,9 @@ def check_counterexample(corpus: Corpus) -> Cases:
 def check_contractibility(corpus: Corpus) -> Cases:
     """One collapse search per component; it reads the Betti numbers first,
     and names them in its reason when the reduced homology is nontrivial."""
-    b = corpus.bounds
     for name, g in corpus.graphs():
         for comp in corpus.components(name, g):
-            verdict = collapse_search(comp, budget=b.budget, seed=b.seed)
+            verdict = collapse_search(comp)
             yield None if verdict.status == "collapsible" else {
                 "fixture": name, "verdict": verdict.status,
                 "reason": verdict.reason}

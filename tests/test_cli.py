@@ -87,6 +87,16 @@ def test_poly_f3(capsys):
     assert json.loads(out)["coeffs"] == [5, 5, 1]
 
 
+@pytest.mark.parametrize("kind", ["F", "P", "closed"])
+def test_poly_n0_is_one(capsys, kind):
+    # F_0 = 1, and P_0 = F_0(x - 1) = 1 is the closed form C(1 - k, k).
+    code, out, _ = run(capsys, "poly", kind, "0", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["coeffs"] == [1]
+    assert data.get("matches_closed_form", True) is True
+
+
 def test_poly_bad_kind(capsys):
     code, _, err = run(capsys, "poly", "Q", "3")
     assert code == 2
@@ -126,10 +136,7 @@ def test_verify_unknown_scope(capsys):
     ["verify", "--max-n", "-3", "--scope", "affine"],
     ["verify", "--max-n", "0", "--scope", "closed"],
     ["verify", "--max-d", "0", "--scope", "a-map"],
-    ["verify", "--budget", "-1", "--scope", "contractibility"],
-    ["complex", "figure2", "--collapse", "--budget", "-5"],
-], ids=["negative-max-n", "zero-max-n", "zero-max-d", "verify-budget",
-        "complex-budget"])
+], ids=["negative-max-n", "zero-max-n", "zero-max-d"])
 def test_vacuous_bounds_fail(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -143,8 +150,11 @@ def test_vacuous_bounds_fail(capsys, argv):
     ["fixtures", "list", "--seed", "1"],
     ["fixtures", "list", "--budget", "5"],
     ["fixtures", "list", "--format", "json"],
+    ["verify", "--budget", "-1", "--scope", "contractibility"],
+    ["complex", "figure2", "--collapse", "--budget", "-5"],
+    ["complex", "g1", "--seed", "1"],
 ], ids=["poly-seed", "poly-budget", "fixtures-seed", "fixtures-budget",
-        "fixtures-format"])
+        "fixtures-format", "verify-budget", "complex-budget", "complex-seed"])
 def test_options_no_command_reads_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -189,7 +199,7 @@ def test_sizes_at_the_limits_are_accepted(capsys, monkeypatch, argv):
 
 def test_verify_smallest_bounds_run(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-d", "1",
-                       "--budget", "0", "--scope", "closed")
+                       "--scope", "closed")
     assert code == 0
     assert "PASS closed-forms" in out
 

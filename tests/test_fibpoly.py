@@ -126,7 +126,7 @@ class TestPPolynomials:
 
     def test_closed_form_range(self):
         with pytest.raises(ValueError):
-            p_closed_form(0)
+            p_closed_form(-1)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fibonacci_evaluation(self, n):

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import boundary_of_boundary_vanishes, face_leq, from_faces
+from reference import (boundary_of_boundary_vanishes, face_leq, from_faces,
+                       polyominoes)
 from test_count import NoFaces
 from tilings import complexes, topology
-from tilings.complexes import CubicalMatchingComplex, build_complex
-from tilings.fixtures import figure_counterexample, triangular_prism
+from tilings.complexes import (CubicalMatchingComplex, build_complex,
+                               count_f_vector)
+from tilings.fixtures import (core_fixture_names, figure_counterexample,
+                              named_fixture, triangular_prism)
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
-                            build_ladder)
-from tilings.topology import (_cells_and_boundaries, _covers,
-                              _exhaustive_collapse, _gf2_rank, collapse_search,
-                              independence_complex, kozlov_reference_betti,
-                              link_of_face, matched_region_graph, z2_betti)
+                            build_ladder, graph_from_cells)
+from tilings.topology import (_cells_and_boundaries, _gf2_rank,
+                              collapse_search, independence_complex,
+                              kozlov_reference_betti, link_of_face,
+                              matched_region_graph, z2_betti)
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -314,14 +317,6 @@ class TestCollapseCertificates:
         assert verdict.status == "collapsible"
         replay(verdict.certificate, *simplicial(sc))
 
-    def test_exhaustive_search_on_ladder_2(self):
-        k = build_complex(build_ladder(2))
-        cells, _, facets = _cells_and_boundaries(k)
-        certificate, complete = _exhaustive_collapse(cells, _covers(facets),
-                                                     20000)
-        assert complete
-        replay(certificate, *cubical(k))
-
     def test_dunce_hat_reaches_a_verdict(self):
         sc = from_faces(DUNCE_HAT)
         cells, below, dim = simplicial(sc)
@@ -329,12 +324,63 @@ class TestCollapseCertificates:
         assert z2_betti(sc) == (1,)
         assert sum((-1) ** dim(f) for f in cells) == 1
         assert not any(sum(below(f, c) for c in cells) == 1 for f in cells)
-        verdict = collapse_search(sc)
-        assert (verdict.status, verdict.reason) == (
-            "not_collapsible", "exhaustive search found no collapse")
-        verdict = collapse_search(sc, budget=0)
-        assert (verdict.status, verdict.reason) == (
-            "inconclusive", "budget exhausted")
+        # No cell is free, so each greedy pass stops at once: the default
+        # budget buys 1 + 19999 // 24 of them, budget 0 just the first.
+        for budget, passes in ((20000, 834), (0, 1)):
+            verdict = collapse_search(sc, budget=budget)
+            assert (verdict.status, verdict.reason) == (
+                "inconclusive", f"greedy passes: {passes}; live cells by "
+                "dimension after the first: [8, 24, 17]")
+
+
+# -- one greedy pass is the whole search on the complexes met so far ----------
+
+
+def assert_one_pass_collapses(k):
+    """Every component with the Betti numbers of a point collapses in the
+    first greedy pass: budget 1 allows no restart."""
+    for comp in k.connected_components() if k.faces else []:
+        if z2_betti(comp) == (1,):
+            assert collapse_search(comp, budget=1).status == "collapsible"
+
+
+def nested_squares(k):
+    """k nested squares, square j with corners (j, j) and (2k - j, 2k - j),
+    each joined to the next at the lower-left and upper-right corners."""
+    vertices, edges = {}, []
+    for j in range(k):
+        lo, hi = j, 2 * k - j
+        corners = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+        vertices.update((4 * j + i, p) for i, p in enumerate(corners))
+        edges += [(4 * j + i, 4 * j + (i + 1) % 4) for i in range(4)]
+        if j:
+            edges += [(4 * j - 4, 4 * j), (4 * j - 2, 4 * j + 2)]
+    return PlanarGraph(vertices, edges)
+
+
+class TestOneGreedyPass:
+    @settings(max_examples=100, deadline=None)
+    @given(polyominoes())
+    def test_polyominoes(self, cells):
+        assert_one_pass_collapses(build_complex(graph_from_cells(set(cells))))
+
+    @pytest.mark.parametrize("name", core_fixture_names(0))
+    def test_figures(self, name):
+        assert_one_pass_collapses(build_complex(named_fixture(name)))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_nested_squares(self, k):
+        g = nested_squares(k)
+        c = build_complex(g)
+        assert c.f_vector() == count_f_vector(g) == [2 ** k, 2 ** (k - 1)]
+        comps = c.connected_components()
+        assert len(comps) == 2 ** (k - 1)
+        for comp in comps:
+            assert collapse_search(comp, budget=1).status == "collapsible"
+
+    def test_two_nested_squares_are_the_counterexample(self):
+        assert (nested_squares(2).to_json_obj()
+                == figure_counterexample().to_json_obj())
 
 
 def gf2_rank_by_elimination(rows, width):
