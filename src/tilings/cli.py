@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .complexes import build_complex, count_f_vector
 from .fibpoly import apply_A, f_polynomial, p_closed_form, p_polynomial, ONE
-from .fixtures import core_fixture_names, named_fixture
+from .fixtures import core_fixture_names, ladder_parameters, named_fixture
 from .matchings import cube_coordinates
 from .planar import (GraphError, PlanarGraph, build_from_polyomino,
                      load_graph_json)
@@ -60,6 +60,8 @@ def resolve_graph(name: str) -> PlanarGraph:
         candidate = Path(fixture_dir) / f"{name}.json"
         if candidate.exists():
             return load_graph_json(candidate)
+    if ladder := ladder_parameters(name):
+        _at_most("ladder n", ladder[0], _MAX_POLY_N)
     try:
         return named_fixture(name)
     except KeyError:
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 # end within a minute.
 _MAX_N = 500        # verify --max-n
 _MAX_D = 50         # verify --max-d
-_MAX_POLY_N = 2000  # n of poly F, P and closed
+_MAX_POLY_N = 2000  # n of poly F, P and closed, and of fixture ladder-n
 _MAX_POLY_D = 100   # d of poly A
 
 

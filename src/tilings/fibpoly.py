@@ -50,8 +50,7 @@ class Poly:
         return Poly([self[i] + other[i] for i in range(n)])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
@@ -227,9 +226,7 @@ def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
     if not m:
         return 0
     rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
+    prev, r = 1, 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pivot is None:
@@ -241,10 +238,9 @@ def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return r
 
 
 def multiset_no_consecutive_count(n: int, k: int,

@@ -4,9 +4,10 @@ polyomino zoo, and seeded random quadrilateral-glued graphs."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .matchings import matchings_of_adjacency
 from .planar import PlanarGraph, build_ladder, graph_from_cells
@@ -187,11 +188,8 @@ def polyomino_zoo(max_cells: int = 10) -> tuple[tuple[str, frozenset[Cell]], ...
     zoo = []
     for n in range(2, max_cells + 1, 2):
         for i, cells in enumerate(free_polyominoes(n)):
-            if not is_simply_connected(cells):
-                continue
-            if not _has_perfect_matching(cells):
-                continue
-            zoo.append((f"poly-{n}-{i}", cells))
+            if is_simply_connected(cells) and _has_perfect_matching(cells):
+                zoo.append((f"poly-{n}-{i}", cells))
     return tuple(zoo)
 
 
@@ -237,12 +235,17 @@ def named_fixture(name: str) -> PlanarGraph:
     }
     if name in builders:
         return builders[name]()
-    if name.startswith("ladder-"):
-        parts = name.split("-")
-        n = int(parts[1])
-        bump = int(parts[2]) if len(parts) > 2 else None
-        return build_ladder(n, bump=bump)
+    if ladder := ladder_parameters(name):
+        return build_ladder(*ladder)
     raise KeyError(f"unknown fixture {name!r}")
+
+
+def ladder_parameters(name: str) -> Optional[list[Optional[int]]]:
+    """[n, bump] of the fixture name ``ladder-n`` or ``ladder-n-bump``,
+    each number a canonical decimal, bump None when absent; None for any
+    other name."""
+    match = re.fullmatch(r"ladder-(0|[1-9][0-9]*)(?:-(0|[1-9][0-9]*))?", name)
+    return match and [None if p is None else int(p) for p in match.groups()]
 
 
 def core_fixture_names(max_ladder: int = 8) -> list[str]:

@@ -3,7 +3,6 @@ cube-coordinate embedding."""
 
 from __future__ import annotations
 
-import sys
 from functools import reduce
 from operator import xor
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -56,36 +55,36 @@ def matchings_of_adjacency(vertices: Sequence[int],
 
     The covered vertices are the bits of one int, bit i standing for
     ``vertices[i]``; the moves come from :func:`_search_plan`.  The search
-    nests one call per edge, so the interpreter's recursion limit is raised
-    by the most edges a matching has for the call, then restored.
+    runs on a list of frames: frame d holds the covered mask after the
+    first d edges placed and an iterator over the untried moves at the
+    first vertex that mask leaves uncovered, its lowest zero bit.
     """
     if len(vertices) % 2 == 1:
         return []
+    if not vertices:
+        return [Matching()]
     moves, _ = _search_plan(vertices, adj, ())
     full = (1 << len(moves)) - 1
     edges: list[Edge] = []
     out: list[Matching] = []
-
-    def search(covered: int) -> None:
-        if covered == full:
-            out.append(Matching(edges))
-            return
-        # The first uncovered vertex: the lowest zero bit of ``covered``.
-        for b, e in moves[(~covered & (covered + 1)).bit_length() - 1][0]:
+    frames = [(0, iter(moves[0][0]))]
+    while frames:
+        covered, untried = frames[-1]
+        for b, e in untried:
             if not covered & b:
-                edges.append(e)
-                search(covered | b)
-                edges.pop()
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(moves) // 2 + 1)
-    try:
-        search(0)
-    finally:
-        sys.setrecursionlimit(limit)
-    # Break the cycle search -> closure -> search, which would keep every
-    # matching found alive until the next full garbage collection.
-    del search
+                break
+        else:
+            # Back to the frame before, without the edge that led here.
+            frames.pop()
+            del edges[-1:]
+            continue
+        covered |= b
+        if covered == full:
+            out.append(Matching(edges + [e]))
+        else:
+            edges.append(e)
+            frames.append((covered, iter(
+                moves[(~covered & (covered + 1)).bit_length() - 1][0])))
     return out
 
 

@@ -124,11 +124,9 @@ class PlanarGraph:
         self._check_euler(faces, comp)
         candidates = self._bounded_simple_faces(faces, comp)
 
-        if regions is None:
-            chosen = candidates
-        else:
-            chosen = []
-            by_edges = {r.edge_set: r for r in candidates}
+        chosen = by_edges = {r.edge_set: r for r in candidates}
+        if regions is not None:
+            chosen = {}
             for cyc in regions:
                 cyc = tuple(int(v) for v in cyc)
                 reg = Region(cyc)
@@ -141,9 +139,11 @@ class PlanarGraph:
                 if reg.edge_set not in by_edges:
                     raise GraphError(
                         f"region {cyc} is not a bounded face of the drawing")
-                chosen.append(by_edges[reg.edge_set])
+                if reg.edge_set in chosen:
+                    raise GraphError(f"region {cyc} is listed twice")
+                chosen[reg.edge_set] = by_edges[reg.edge_set]
         self.regions: tuple[Region, ...] = tuple(
-            sorted(chosen, key=lambda r: sorted(r.cycle)))
+            sorted(chosen.values(), key=lambda r: sorted(r.cycle)))
 
     # -- construction helpers -------------------------------------------------
 

@@ -40,18 +40,18 @@ def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
     that may still join ``chosen``, and ``done`` the earlier ones that may
     join too but whose facets with ``chosen`` were listed already.  A set is
     a facet when neither list has a vertex left, that is when every vertex
-    outside it has a neighbour inside it.
+    outside it has a neighbour inside it.  Triples to extend wait on a list.
     """
     facets = []
-
-    def extend(chosen: frozenset, free: list, done: list) -> None:
+    frames = [(frozenset(), sorted(h, key=repr), [])]
+    while frames:
+        chosen, free, done = frames.pop()
         if not free and not done and chosen:
             facets.append(chosen)
         for k, v in enumerate(free):
-            extend(chosen | {v}, [u for u in free[k + 1:] if v not in h[u]],
-                   [u for u in done + free[:k] if v not in h[u]])
-
-    extend(frozenset(), sorted(h, key=repr), [])
+            frames.append((chosen | {v},
+                           [u for u in free[k + 1:] if v not in h[u]],
+                           [u for u in done + free[:k] if v not in h[u]]))
     # Every vertex lies in a facet, so the facets cover the isolated ones too.
     return SimplicialComplex(frozenset(v for f in facets for v in f),
                              frozenset(facets))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -107,6 +108,15 @@ def test_fixtures_list(capsys):
     assert code == 0
     names = out.split()
     assert "prism" in names and "ladder-8-8" in names
+
+
+def test_fixtures_list_output_is_pinned(capsys):
+    # The 49 core names, one a line; the files that ``fixtures dump``
+    # writes are pinned by DUMP_DIGEST in test_golden.py.
+    code, out, _ = run(capsys, "fixtures", "list")
+    assert code == 0 and len(out.splitlines()) == 49
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "edcbb7f72d35d46dbed24768bdfa7647cf6993f17dd7bc85a3c1bda7b2e11cc4")
 
 
 def test_fixtures_dump_and_env_lookup(tmp_path, capsys, monkeypatch):
@@ -234,6 +244,66 @@ def test_complex_malformed_graph_fails(tmp_path, capsys, spec):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("again", [[0, 1, 2, 3], [2, 3, 0, 1],
+                                   [3, 2, 1, 0]],
+                         ids=["same", "rotated", "reversed"])
+def test_complex_region_listed_twice_fails(tmp_path, capsys, again):
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    spec = {"vertices": [{"id": i, "x": x, "y": y}
+                         for i, (x, y) in enumerate(square)],
+            "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+            "regions": [[0, 1, 2, 3], again]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "complex", str(path), "--betti",
+                         "--collapse")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "listed twice" in err
+
+
+@pytest.mark.parametrize("name", [
+    "ladder-3-1-2", "ladder-03", "ladder-3-+1", "ladder-3-1 ", "ladder-+3",
+    "ladder-3-01", "ladder-", "ladder-3-", "ladder-x", "ladder-99999999",
+    "ladder-2001", "ladder-0", "ladder-3-4"])
+@pytest.mark.parametrize("command", ["count", "complex"])
+def test_bad_ladder_names_fail_before_any_work(capsys, monkeypatch, command,
+                                               name):
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(cli, "build_complex", work)
+    monkeypatch.setattr(cli, "count_f_vector", work)
+    code, out, err = run(capsys, command, name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_ladder_names_skip_no_dumped_file(tmp_path, capsys, monkeypatch):
+    # Only a canonical name reads the dumped ladder-3*.json files.
+    run(capsys, "fixtures", "dump", "--out", str(tmp_path))
+    monkeypatch.setenv("TILINGS_FIXTURE_DIR", str(tmp_path))
+    for name in ("ladder-03", "ladder-3-+1", "ladder-3-1 "):
+        code, out, err = run(capsys, "count", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: no such file or fixture: {name!r}\n"
+
+
+@pytest.mark.parametrize("name,f_vector", [
+    ("ladder-5", "[13, 20, 9, 1]"), ("ladder-5-2", "[16, 25, 11, 1]")])
+def test_ladder_names_still_resolve(capsys, name, f_vector):
+    code, out, _ = run(capsys, "count", name)
+    assert code == 0
+    assert f"f_vector: {f_vector}\n" in out
+
+
+def test_count_on_the_longest_named_ladder(capsys):
+    code, out, err = run(capsys, "count", "ladder-2000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["graph"]["regions"] == 2000
 
 
 def test_complex_deeply_nested_json_fails(tmp_path, capsys):

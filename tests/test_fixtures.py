@@ -8,8 +8,9 @@ from tilings.complexes import build_complex
 from tilings.fixtures import (_has_perfect_matching, canonical_form,
                               core_fixture_names, free_polyominoes,
                               is_simply_connected,
-                              iter_fixture_graphs, named_fixture,
-                              polyomino_zoo, random_quad_glued)
+                              iter_fixture_graphs, ladder_parameters,
+                              named_fixture, polyomino_zoo,
+                              random_quad_glued)
 from tilings.matchings import matchings_of_adjacency
 from tilings.planar import graph_from_cells
 
@@ -34,6 +35,27 @@ def test_named_ladder_fixtures():
     assert len(g.regions) == 6
     with pytest.raises(KeyError):
         named_fixture("nonsense")
+
+
+@pytest.mark.parametrize("name", [
+    "ladder-3-1-2", "ladder-03", "ladder-3-+1", "ladder-3-1 ", "ladder-3-01",
+    "ladder--3", "ladder-3-", "ladder-", "ladder-\u0663", "ladder-3\n"])
+def test_ladder_names_are_canonical_decimals(name):
+    assert ladder_parameters(name) is None
+    with pytest.raises(KeyError, match="unknown fixture"):
+        named_fixture(name)
+
+
+def test_ladder_parameters_read_every_core_name():
+    assert ladder_parameters("ladder-12") == [12, None]
+    assert ladder_parameters("ladder-12-10") == [12, 10]
+    assert ladder_parameters("ladder-0") == [0, None]
+    for name in core_fixture_names():
+        ladder = ladder_parameters(name)
+        assert (ladder is None) == (not name.startswith("ladder-"))
+        if ladder is not None:
+            assert name == "-".join(["ladder"] + [str(p) for p in ladder
+                                                  if p is not None])
 
 
 def test_core_names_cover_all_bumps():

@@ -51,6 +51,16 @@ class TestConstruction:
         with pytest.raises(GraphError, match="not a bounded face"):
             PlanarGraph(verts, edges, regions=[[0, 1, 4, 5, 2, 3]])
 
+    @pytest.mark.parametrize("again", [[0, 1, 2, 3], [2, 3, 0, 1],
+                                       [3, 2, 1, 0]],
+                             ids=["same", "rotated", "reversed"])
+    def test_region_listed_twice_rejected(self, again):
+        with pytest.raises(GraphError,
+                           match=re.escape(f"region {tuple(again)} is "
+                                           "listed twice")):
+            PlanarGraph(SQUARE, SQUARE_EDGES,
+                        regions=[[0, 1, 2, 3], again])
+
     def test_explicit_region_subset_accepted(self):
         g = build_ladder(2)
         sub = PlanarGraph(g.coords, g.edges,
