@@ -40,14 +40,28 @@ class CubicalMatchingComplex:
     ``verify``'s cube check read runs of it, and ``topology`` slices cells
     by dimension.
 
-    ``_index`` maps each face to its position; a face equals its (edge set,
-    cycles) pair, so that pair finds it with no ``TilingFace`` built."""
+    ``_index`` maps each face to its position, built on first use; a face
+    equals its (edge set, cycles) pair, so that pair finds it with no
+    ``TilingFace`` built."""
 
     def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace]):
         self.graph = graph
-        self.faces: tuple[TilingFace, ...] = tuple(
-            sorted(faces, key=attrgetter("dim")))
-        self._index = {f: i for i, f in enumerate(self.faces)}
+        faces = tuple(faces)
+        dims = list(map(len, map(attrgetter("cycles"), faces)))
+        # Faces handed over in order of dimension, as build_complex hands
+        # them, are kept as they are.
+        if dims != sorted(dims):
+            faces = tuple(sorted(faces, key=attrgetter("dim")))
+        self.faces: tuple[TilingFace, ...] = faces
+        # Set here, not on first use, so that every complex's attributes
+        # keep one shared layout.
+        self._positions: Optional[dict[TilingFace, int]] = None
+
+    @property
+    def _index(self) -> dict[TilingFace, int]:
+        if self._positions is None:
+            self._positions = {f: i for i, f in enumerate(self.faces)}
+        return self._positions
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -94,9 +108,40 @@ class CubicalMatchingComplex:
 
         Each face is a cube, so it lies in the component of every vertex
         below it: the components are those of the 1-skeleton, found by a
-        union-find over the vertices, keyed by matching."""
+        union-find over the vertices.
+
+        A 1-face (M, {r}) joins M | a0 to M | a1, a0 and a1 the alternations
+        of r.  So with matchings coded as ints over the edges, each vertex m
+        holding a0 is joined to m ^ a0 ^ a1 when that is a vertex too.  The
+        complex of a graph holds every such 1-face, and a complex closed
+        under facets holds no other, so when these pairs number its 1-faces
+        they are its 1-faces.  A complex missing some has its own read."""
         regions, one, two = self.graph.regions, self._start(1), self._start(2)
-        vertex = {f.matching: i for i, f in enumerate(self.faces[:one])}
+        if one == 1:
+            return [self]
+        bit = {e: 1 << i for i, e in enumerate(self.graph.edges)}
+
+        def code(edges: frozenset[Edge]) -> int:
+            return sum(map(bit.__getitem__, frozenset.__iter__(edges)))
+
+        def positions() -> dict[Matching, int]:
+            return {f.matching: i for i, f in enumerate(self.faces[:one])}
+
+        at = {code(f.matching): i for i, f in enumerate(self.faces[:one])}
+        pairs = []
+        for r in regions:
+            if r.alternations:
+                a0, a1 = map(code, r.alternations)
+                flip = a0 ^ a1
+                pairs += [(i, at[m ^ flip]) for m, i in at.items()
+                          if m & a0 == a0 and m ^ flip in at]
+        if len(pairs) != two - one:
+            vertex, pairs = positions(), []
+            for f in self.faces[one:two]:
+                [r] = f.cycles
+                pairs.append([vertex[f.matching | alt]
+                              for alt in regions[r].alternations])
+
         parent = list(range(one))
 
         def find(i: int) -> int:
@@ -105,12 +150,9 @@ class CubicalMatchingComplex:
                 i = parent[i]
             return i
 
-        # Each 1-face joins the two vertices that release its region.
         count = one
-        for f in self.faces[one:two]:
-            [r] = f.cycles
-            a, b = (find(vertex[f.matching | alt])
-                    for alt in regions[r].alternations)
+        for a, b in pairs:
+            a, b = find(a), find(b)
             if a != b:
                 parent[a] = b
                 count -= 1
@@ -118,6 +160,7 @@ class CubicalMatchingComplex:
             return [self]
         # A face reaches a vertex by releasing each of its regions into its
         # first alternation.
+        vertex = positions()
         groups: dict[int, list[TilingFace]] = {}
         for f in self.faces:
             m = f.matching.union(

@@ -108,9 +108,15 @@ def _orbit(cells: frozenset[Cell], w: int) -> list[int]:
 
 
 def _decode(code: int, w: int) -> frozenset[Cell]:
-    # Bit w*w - 1 - x is digit x of the w*w binary digits.
-    return frozenset(divmod(x, w) for x, b in
-                     enumerate(format(code, f"0{w * w}b")) if b == "1")
+    """The cells of an :func:`_orbit` code, read from its set bits only:
+    bit w*w - 1 - x stands for cell divmod(x, w)."""
+    top = w * w - 1
+    cells = []
+    while code:
+        low = code & -code
+        cells.append(divmod(top + 1 - low.bit_length(), w))
+        code ^= low
+    return frozenset(cells)
 
 
 def canonical_form(cells: frozenset[Cell]) -> frozenset[Cell]:

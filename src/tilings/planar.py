@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +75,9 @@ class PlanarGraph:
     ``regions`` holds the tiling-eligible elementary regions.  By default
     these are all bounded faces of the drawing that are simple cycles and do
     not enclose vertices of other components; an explicit subset can be
-    supplied instead.
+    supplied instead.  A drawing of unit lattice segments whose bounded
+    faces are all unit squares is read as its squares, with no face traced
+    and no crossing check.
 
     Positions are stored once, on an integer lattice: vertex v sits at
     ``lattice[v] / scale``, where ``scale`` is the least common multiple of
@@ -91,12 +94,12 @@ class PlanarGraph:
         points = {int(v): as_point(x, y) for v, (x, y) in vertices.items()}
         self.scale, ints = common_lattice(list(points.values()))
         self.lattice: dict[int, LatticePoint] = dict(zip(points, ints))
-        seen_pts = {}
+        at: dict[LatticePoint, int] = {}
         for v, p in self.lattice.items():
-            if p in seen_pts:
+            if p in at:
                 raise GraphError(
-                    f"vertices {seen_pts[p]} and {v} coincide at {points[v]}")
-            seen_pts[p] = v
+                    f"vertices {at[p]} and {v} coincide at {points[v]}")
+            at[p] = v
 
         edge_set: set[Edge] = set()
         for e in edges:
@@ -117,12 +120,17 @@ class PlanarGraph:
             self.adj[u].append(v)
             self.adj[v].append(u)
 
-        if check_crossings:
-            self._check_noncrossing()
-        faces = self._trace_faces()
         comp = self.component_labels()
-        self._check_euler(faces, comp)
-        candidates = self._bounded_simple_faces(faces, comp)
+        # The count is kept for graph_from_cells; the labels are not, as a
+        # dict per graph would add to the peak memory of a corpus.
+        self._components = len(set(comp.values()))
+        candidates = self._unit_squares(at)
+        if candidates is None:
+            if check_crossings:
+                self._check_noncrossing()
+            faces = self._trace_faces()
+            self._check_euler(faces, comp)
+            candidates = self._bounded_simple_faces(faces, comp)
 
         chosen = by_edges = {r.edge_set: r for r in candidates}
         if regions is not None:
@@ -193,6 +201,40 @@ class PlanarGraph:
                 if on_segment(pw, pu, pv):
                     raise GraphError(f"vertex {w} lies on edge ({u},{v})")
 
+    def _unit_squares(self, at: Mapping[LatticePoint, int]
+                      ) -> Optional[list[Region]]:
+        """All bounded faces of a drawing of unit lattice segments, each as
+        the walk face tracing gives, or None when the drawing has an edge of
+        another length or a bounded face that is not a unit square.
+
+        Unit segments between lattice points cannot cross, and no lattice
+        point lies inside one, so such a drawing is valid.  No lattice point
+        lies inside a unit square either, so a square with its four edges is
+        a bounded face enclosing nothing, and its walk is its
+        counterclockwise boundary from its least vertex.  The drawing has
+        E - V + C bounded faces (Euler, C components), so when the squares
+        number that, they are all of them."""
+        pos, edges = self.lattice, self.edges
+        squares = []
+        for u, v in edges:
+            (x, y), (x2, y2) = pos[u], pos[v]
+            if abs(x2 - x) + abs(y2 - y) != 1:
+                return None
+            if y != y2:
+                continue
+            # The square above this horizontal edge, from its lower left.
+            a, b = (u, v) if x < x2 else (v, u)
+            x = min(x, x2)
+            c, d = at.get((x + 1, y + 1)), at.get((x, y + 1))
+            if (c is not None and d is not None and edge_key(b, c) in edges
+                    and edge_key(c, d) in edges and edge_key(d, a) in edges):
+                walk = (a, b, c, d)
+                i = walk.index(min(walk))
+                squares.append(Region(walk[i:] + walk[:i]))
+        if len(squares) != len(edges) - len(pos) + self._components:
+            return None
+        return squares
+
     def _rotation(self, v: int) -> list[int]:
         pos = self.lattice
         pv = pos[v]
@@ -242,9 +284,12 @@ class PlanarGraph:
 
     def _bounded_simple_faces(self, faces: list[tuple[int, ...]],
                               comp: Mapping[int, int]) -> list[Region]:
-        points: dict[int, list[LatticePoint]] = {}
-        for w, p in self.lattice.items():
-            points.setdefault(comp[w], []).append(p)
+        # A face of a valid drawing meets no other component, so each of
+        # them lies wholly inside or wholly outside it: one vertex, its
+        # label, stands for it.  They are sorted by x, so a face tests only
+        # those strictly within its bounding box.
+        reps = sorted((self.lattice[c], c) for c in set(comp.values()))
+        xs = [p[0] for p, _ in reps]
         regions = []
         for walk in faces:
             if len(set(walk)) != len(walk):
@@ -255,9 +300,12 @@ class PlanarGraph:
             # Drop a face that geometrically encloses another component:
             # it is not a single region of the full embedding.
             c = comp[walk[0]]
+            px, py = zip(*poly)
+            ylo, yhi = min(py), max(py)
             enclosed = any(
-                point_in_polygon(p, poly) == 1
-                for d, ps in points.items() if d != c for p in ps)
+                d != c and ylo < p[1] < yhi and point_in_polygon(p, poly) == 1
+                for p, d in reps[bisect_right(xs, min(px)):
+                                 bisect_left(xs, max(px))])
             if enclosed:
                 continue
             regions.append(Region(walk))
@@ -276,7 +324,14 @@ class PlanarGraph:
     def vertex_ids(self) -> list[int]:
         return sorted(self.lattice)
 
+    @cached_property
+    def _components(self) -> int:
+        """The number of connected components; a graph built by __init__
+        has it from there."""
+        return len(set(self.component_labels().values()))
+
     def component_labels(self) -> dict[int, int]:
+        """Each vertex's component, named by its least vertex."""
         label: dict[int, int] = {}
         for v in sorted(self.lattice):
             if v in label:
@@ -413,7 +468,7 @@ def graph_from_cells(cells: set[tuple[int, int]]) -> PlanarGraph:
                 edges.append((i, ids[nb]))
     # Unit segments between 4-adjacent lattice points cannot cross.
     g = PlanarGraph(vertices, edges, check_crossings=False)
-    if len(set(g.component_labels().values())) > 1:
+    if g._components > 1:
         raise GraphError("polyomino cells are not edge-connected")
     return g
 
@@ -444,8 +499,7 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
         vertices[b0] = (bump - 1, -1)
         vertices[b1] = (bump, -1)
         edges += [(b0, b1), (2 * (bump - 1), b0), (2 * bump, b1)]
-    # Unit segments between 4-adjacent lattice points cannot cross.
-    return PlanarGraph(vertices, edges, check_crossings=False)
+    return PlanarGraph(vertices, edges)
 
 
 # -- edge classification, reduction ---------------------------------------------

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import face_leq, polyominoes
-from tilings.complexes import (TilingFace, build_complex,
-                               verify_edge_decomposition)
+from tilings.complexes import (CubicalMatchingComplex, TilingFace,
+                               build_complex, verify_edge_decomposition)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               figure_g3, is_simply_connected,
                               triangular_prism)
@@ -267,18 +268,54 @@ def components_by_all_facets(k):
     return {frozenset(fs) for fs in groups.values()}
 
 
-def assert_components_match(g):
-    k = build_complex(g)
+def assert_components_match(k):
     comps = k.connected_components()
     assert {frozenset(c.faces) for c in comps} == components_by_all_facets(k)
     assert len(comps) == len(components_by_all_facets(k))
+    for c in comps:
+        assert list(c.faces) == [f for f in k.faces if f in c]
 
 
 @settings(max_examples=100, deadline=None)
 @given(polyominoes())
 def test_components_match_union_over_all_facets(cells):
-    assert_components_match(graph_from_cells(set(cells)))
+    assert_components_match(build_complex(graph_from_cells(set(cells))))
 
 
 def test_components_match_union_over_all_facets_on_counterexample():
-    assert_components_match(figure_counterexample())
+    assert_components_match(build_complex(figure_counterexample()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyominoes(), st.randoms(use_true_random=False))
+def test_components_match_on_shuffled_complexes(cells, rng):
+    k = build_complex(graph_from_cells(set(cells)))
+    faces = list(k.faces)
+    rng.shuffle(faces)
+    assert_components_match(CubicalMatchingComplex(k.graph, faces))
+
+
+def without_one_faces(k, dropped):
+    """k less the 1-faces ``dropped`` and every face above one of them,
+    which is closed under facets again, with fewer 1-faces than flips."""
+    g = k.graph
+    return CubicalMatchingComplex(g, [
+        f for f in k.faces if not any(face_leq(d, f, g) for d in dropped)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyominoes(), st.randoms(use_true_random=False))
+def test_components_match_with_one_faces_dropped(cells, rng):
+    k = build_complex(graph_from_cells(set(cells)))
+    edges = [f for f in k.faces if f.dim == 1]
+    dropped = rng.sample(edges, rng.randint(0, min(len(edges), 6)))
+    assert_components_match(without_one_faces(k, dropped))
+
+
+@pytest.mark.parametrize("build", [figure_counterexample, figure_g2,
+                                   lambda: build_ladder(4)])
+def test_components_match_with_each_one_face_dropped(build):
+    k = build_complex(build())
+    for f in k.faces:
+        if f.dim == 1:
+            assert_components_match(without_one_faces(k, [f]))

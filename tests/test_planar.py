@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,7 +13,8 @@ from tilings import planar
 from tilings.geometry import (on_segment, segments_cross_improperly,
                               segments_intersect)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
-                              figure_g3, free_polyominoes, polyomino_zoo,
+                              figure_g3, free_polyominoes,
+                              is_simply_connected, polyomino_zoo,
                               triangular_prism)
 from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
                             build_ladder, build_planar_graph, classify_edges,
@@ -348,13 +350,37 @@ def test_reduced_graph_has_only_free_edges(h):
     assert set(classify_edges(reduce_graph(h)).status.values()) <= {"free"}
 
 
+def traced_regions(g):
+    """The cycles of g's regions found by face tracing, the general path:
+    each bounded simple face enclosing no other component, in the order of
+    g's regions."""
+    faces, comp = g._trace_faces(), g.component_labels()
+    g._check_euler(faces, comp)
+    return sorted((r.cycle for r in g._bounded_simple_faces(faces, comp)),
+                  key=sorted)
+
+
+def unit_squares(g):
+    """The cycles of g's unit squares, or None where they are not all of
+    its bounded faces."""
+    squares = g._unit_squares({p: v for v, p in g.lattice.items()})
+    return None if squares is None else sorted((r.cycle for r in squares),
+                                               key=sorted)
+
+
 def _lattice_drawings():
+    """Every free polyomino of up to ten cells, the 239 with holes among
+    them, and every small ladder, each with whether it is simply
+    connected."""
+    holed = 0
     for n in range(1, 11):
         for cells in free_polyominoes(n):
-            yield graph_from_cells(set(cells))
+            holed += not is_simply_connected(cells)
+            yield graph_from_cells(set(cells)), is_simply_connected(cells)
+    assert holed == 239
     for n in range(1, 9):
         for bump in [None, *range(1, n + 1)]:
-            yield build_ladder(n, bump)
+            yield build_ladder(n, bump), True
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,13 +396,16 @@ def test_cells_rejected_exactly_when_not_edge_connected(cells):
 
 
 def test_lattice_builders_need_no_crossing_check():
-    # The builders skip the crossing check; every free polyomino of up to
-    # ten cells, holed ones included, and every small ladder builds the same
-    # graph with the check on.
-    for g in _lattice_drawings():
+    # The builders skip the crossing check, and every one of these drawings
+    # builds the same graph with the check on.  Each has the regions face
+    # tracing finds, and a simply connected one is read as unit squares.
+    for g, simply_connected in _lattice_drawings():
         h = PlanarGraph(g.coords, g.edges, check_crossings=True)
         assert (g.lattice, g.edges, g.adj) == (h.lattice, h.edges, h.adj)
         assert [r.cycle for r in g.regions] == [r.cycle for r in h.regions]
+        assert [r.cycle for r in g.regions] == traced_regions(g)
+        if simply_connected:
+            assert unit_squares(g) == traced_regions(g)
 
 
 # -- the drawing check against a scan of every vertex -------------------------
@@ -477,3 +506,85 @@ def test_coprime_denominators_share_one_lattice():
     }
     again = build_planar_graph(g.to_json_obj())
     assert (again.scale, again.lattice) == (g.scale, g.lattice)
+
+
+# -- unit squares against the traced faces ------------------------------------
+
+
+@st.composite
+def grid_edge_drawings(draw):
+    """A 6 x 6 grid less a few points, under shuffled ids, with a random
+    share of the unit segments between them.  Half the time every segment
+    across the boundary of a box inside is cut, so the box's points are
+    components of their own, often nested in a ring.  The coordinates are
+    shifted, and halved half the time, so some drawings sit on a lattice
+    of scale 2."""
+    grid = {(x, y) for x in range(6) for y in range(6)}
+    points = sorted(grid - draw(st.sets(grid_points(5), max_size=12)))
+    ids = draw(st.permutations(range(len(points))))
+    at = dict(zip(points, ids))
+    x0, x1 = sorted(draw(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    y0, y1 = sorted(draw(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+
+    def inside(x, y):
+        return x0 <= x <= x1 and y0 <= y <= y1
+
+    cut = draw(st.booleans())
+    segments = [(at[x, y], at[q]) for x, y in points
+                for q in ((x + 1, y), (x, y + 1))
+                if q in at and not (cut and inside(x, y) != inside(*q))]
+    keep = draw(st.integers(0, 4))
+    marks = draw(st.lists(st.integers(0, 4), min_size=len(segments),
+                          max_size=len(segments)))
+    scale = draw(st.sampled_from([1, 2]))
+    dx, dy = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    vertices = {v: (Fraction(x + dx, scale), Fraction(y + dy, scale))
+                for (x, y), v in at.items()}
+    return vertices, [e for e, m in zip(segments, marks) if m >= keep]
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_edge_drawings())
+def test_unit_squares_match_traced_faces(drawing):
+    # Holes, several or nested components and isolated vertices come up
+    # among the random subsets; where any bounded face is not a unit
+    # square, the squares are refused and the faces are traced.
+    g = PlanarGraph(*drawing)
+    want = traced_regions(g)
+    assert [r.cycle for r in g.regions] == want
+    assert unit_squares(g) in (None, want)
+
+
+def test_unit_squares_refused_around_a_nested_component():
+    # A 4 x 4 ring of unit segments around a unit square and an isolated
+    # vertex: the ring's face encloses both, so it is no region.
+    ring = [(x, 0) for x in range(4)] + [(4, y) for y in range(4)] + \
+        [(x, 4) for x in range(4, 0, -1)] + [(0, y) for y in range(4, 0, -1)]
+    inner = [(1, 1), (2, 1), (2, 2), (1, 2)]
+    points = ring + inner + [(3, 3)]
+    vertices = dict(enumerate(points))
+    edges = [(i, (i + 1) % 16) for i in range(16)] + \
+        [(16 + i, 16 + (i + 1) % 4) for i in range(4)]
+    g = PlanarGraph(vertices, edges)
+    assert unit_squares(g) is None
+    assert [r.cycle for r in g.regions] == traced_regions(g) == \
+        [(16, 17, 18, 19)]
+
+
+def test_enclosure_test_takes_one_vertex_per_component():
+    # 2 000 disjoint triangles inside one square: each face tests one
+    # vertex of each component within its bounding box, so the build is
+    # not quadratic in the components.
+    vertices = {0: (0, 0), 1: (121, 0), 2: (121, 151), 3: (0, 151)}
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    for i in range(40):
+        for j in range(50):
+            v = len(vertices)
+            x, y = 3 * i + 1, 3 * j + 1
+            vertices.update({v: (x, y), v + 1: (x + 1, y), v + 2: (x, y + 1)})
+            edges += [(v, v + 1), (v + 1, v + 2), (v + 2, v)]
+    start = time.perf_counter()
+    g = PlanarGraph(vertices, edges)
+    assert time.perf_counter() - start < 2
+    assert len(g.regions) == 2000
+    assert all(len(r) == 3 for r in g.regions)
