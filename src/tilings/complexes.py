@@ -8,6 +8,8 @@ enumeration doubles as the correctness oracle for everything downstream.
 
 from __future__ import annotations
 
+import gc
+import threading
 from bisect import bisect_left
 from operator import attrgetter
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
@@ -188,6 +190,37 @@ def _counting_order(g: PlanarGraph) -> list[int]:
     return sorted(pos, key=lambda v: pos[v][::-1])
 
 
+class _CollectorPause:
+    """Holds the cyclic collector off inside ``with`` blocks.  A face is a
+    frozenset of edge tuples inside a named pair, which can form no cycle,
+    yet while a face list grows the collector scans it again and again and
+    frees nothing.  The first of overlapping blocks, in any thread, turns the
+    collector off; the last one out turns it back on, only if it was on
+    when the first came in.  The lock keeps the count and that record
+    consistent across threads."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = False
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._restore = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._restore:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
     in the order of :meth:`TilingFace.sort_key`, built upward from the
@@ -197,23 +230,27 @@ def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     matching holds r's first alternation, with it removed.  So the sets
     come out in order of (len S, sorted S), and each set's tilings in order
     of their sorted edge lists, which removing a common edge set keeps.  A
-    region that shares a vertex with S is skipped by its vertex bits."""
-    bit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
-    even = [(i, r.alternations[0], sum(bit[v] for v in r.cycle))
-            for i, r in enumerate(g.regions) if r.alternations]
-    # (S, the vertices of S, the first index of ``even`` above S, the
-    # matchings of S); the loop reads the groups it appends.
-    groups = [(frozenset(), 0, 0, enumerate_perfect_matchings(g))]
-    faces = []
-    for s, covered, start, ms in groups:
-        faces += [TilingFace(m, s) for m in ms]
-        for j in range(start, len(even)):
-            label, alt, mask = even[j]
-            if not covered & mask:
-                up = [Matching(m - alt) for m in ms if alt <= m]
-                if up:
-                    groups.append((s | {label}, covered | mask, j + 1, up))
-    return CubicalMatchingComplex(g, faces)
+    region that shares a vertex with S is skipped by its vertex bits.
+
+    The whole build runs with the cyclic collector paused
+    (:class:`_CollectorPause`)."""
+    with _collector_paused:
+        bit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+        even = [(i, r.alternations[0], sum(bit[v] for v in r.cycle))
+                for i, r in enumerate(g.regions) if r.alternations]
+        # (S, the vertices of S, the first index of ``even`` above S, the
+        # matchings of S); the loop reads the groups it appends.
+        groups = [(frozenset(), 0, 0, enumerate_perfect_matchings(g))]
+        faces = []
+        for s, covered, start, ms in groups:
+            faces += [TilingFace(m, s) for m in ms]
+            for j in range(start, len(even)):
+                label, alt, mask = even[j]
+                if not covered & mask:
+                    up = [Matching(m - alt) for m in ms if alt <= m]
+                    if up:
+                        groups.append((s | {label}, covered | mask, j + 1, up))
+        return CubicalMatchingComplex(g, faces)
 
 
 def count_f_vector(g: PlanarGraph) -> list[int]:

@@ -8,7 +8,7 @@ import pytest
 
 from tilings import cli
 from tilings.cli import main
-from tilings.fibpoly import ONE
+from tilings.fibpoly import ONE, a_unit_closed_form
 from tilings.verify import run_verification
 
 
@@ -321,6 +321,23 @@ def test_poly_negative_power_fails(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "x^-1" in err
+
+
+def test_poly_power_above_the_bound_fails_before_it_is_built(capsys):
+    # x^(10**12) would need 10**12 coefficients: k is checked against d
+    # first, with apply_A's message.
+    code, out, err = run(capsys, "poly", "A", "3", str(10**12))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: degree {10**12} exceeds the map's domain "
+                   "bound 3\n")
+
+
+def test_poly_power_at_the_bound_is_accepted(capsys):
+    code, out, err = run(capsys, "poly", "A", "3", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"kind": "A", "d": 3, "k": 3,
+                               "coeffs": list(a_unit_closed_form(3, 3).coeffs)}
 
 
 @pytest.mark.parametrize("params", [

@@ -1,12 +1,18 @@
+import gc
 import itertools
+import sys
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import face_leq, polyominoes
+from tilings import complexes
 from tilings.complexes import (CubicalMatchingComplex, TilingFace,
-                               build_complex, verify_edge_decomposition)
+                               build_complex, count_f_vector,
+                               verify_edge_decomposition)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               figure_g3, is_simply_connected,
                               triangular_prism)
@@ -319,3 +325,134 @@ def test_components_match_with_each_one_face_dropped(build):
     for f in k.faces:
         if f.dim == 1:
             assert_components_match(without_one_faces(k, [f]))
+
+
+# -- the collector pause ------------------------------------------------------
+
+
+@contextmanager
+def collector(on):
+    """The cyclic collector turned on or off for the block, then restored."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_faces_are_made_with_the_collector_off(monkeypatch):
+    seen = []
+    search = complexes.enumerate_perfect_matchings
+
+    def recording_search(g):
+        seen.append(("search", gc.isenabled()))
+        return search(g)
+
+    class RecordingComplex(CubicalMatchingComplex):
+        def __init__(self, graph, faces):
+            seen.append(("complex", gc.isenabled()))
+            super().__init__(graph, faces)
+
+    monkeypatch.setattr(complexes, "enumerate_perfect_matchings",
+                        recording_search)
+    monkeypatch.setattr(complexes, "CubicalMatchingComplex", RecordingComplex)
+    with collector(True):
+        k = build_complex(figure_g2())
+        assert gc.isenabled()
+    assert seen == [("search", False), ("complex", False)]
+    assert k.f_vector() == count_f_vector(k.graph)
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_build_leaves_the_collector_as_it_found_it(on):
+    with collector(on):
+        build_complex(figure_g2())
+        assert gc.isenabled() is on
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_failing_build_restores_the_collector(monkeypatch, on):
+    def fail(g):
+        raise GraphError("search failed")
+
+    with collector(on):
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "enumerate_perfect_matchings", fail)
+            with pytest.raises(GraphError, match="search failed"):
+                build_complex(figure_g2())
+            assert gc.isenabled() is on
+        # The failed build left no pause open: the next one restores too.
+        gc.enable()
+        build_complex(figure_g2())
+        assert gc.isenabled()
+
+
+def test_overlapping_builds_pause_until_the_last_ends(monkeypatch):
+    # Build a enters, then b; a ends while b is still building.
+    search = complexes.enumerate_perfect_matchings
+    entered = {name: threading.Event() for name in "ab"}
+    release = {name: threading.Event() for name in "ab"}
+    seen = {}
+
+    def held_search(g):
+        name = threading.current_thread().name
+        entered[name].set()
+        assert release[name].wait(timeout=60)
+        return search(g)
+
+    class RecordingComplex(CubicalMatchingComplex):
+        def __init__(self, graph, faces):
+            seen[threading.current_thread().name] = gc.isenabled()
+            super().__init__(graph, faces)
+
+    monkeypatch.setattr(complexes, "enumerate_perfect_matchings", held_search)
+    monkeypatch.setattr(complexes, "CubicalMatchingComplex", RecordingComplex)
+    threads = {name: threading.Thread(target=build_complex, args=(c4(),),
+                                      name=name) for name in "ab"}
+    with collector(True):
+        try:
+            for name in "ab":
+                threads[name].start()
+                assert entered[name].wait(timeout=60)
+            release["a"].set()
+            threads["a"].join(timeout=60)
+            assert not threads["a"].is_alive()
+            assert not gc.isenabled()
+        finally:
+            for name in "ab":
+                release[name].set()
+                threads[name].join(timeout=60)
+        assert not threads["b"].is_alive()
+        assert gc.isenabled()
+    assert seen == {"a": False, "b": False}
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_concurrent_builds_keep_the_collector(on):
+    errors = []
+
+    def build_often(g, f_vector):
+        try:
+            for _ in range(1000):
+                assert build_complex(g).f_vector() == f_vector
+        except BaseException as exc:
+            errors.append(exc)
+
+    graphs = [c4(), figure_g1(), figure_g2(), build_ladder(2)]
+    work = [(g, build_complex(g).f_vector()) for g in graphs]
+    interval = sys.getswitchinterval()
+    with collector(on):
+        threads = [threading.Thread(target=build_often, args=args)
+                   for args in work]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert gc.isenabled() is on

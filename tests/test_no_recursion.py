@@ -1,7 +1,10 @@
-"""The searches keep their state on lists of frames, not on the call stack:
-they touch no interpreter setting, so concurrent calls cannot race on one.
-The source guard keeps it so: no module sets the recursion limit, and no
-nested function calls itself."""
+"""The searches keep their state on lists of frames, not on the call stack,
+and leave the recursion limit alone.  The one interpreter setting the
+package touches is the cyclic collector, which ``build_complex`` pauses;
+that pause is depth-counted under a lock, so concurrent builds cannot race
+on it.  The source guards keep it so: no module sets the recursion limit,
+no nested function calls itself, and no module but ``complexes.py`` names
+``gc``."""
 
 import ast
 import sys
@@ -110,3 +113,40 @@ def test_recursion_guard_sees_each_kind():
     assert recursion_nodes(tree) == [(2, "setrecursionlimit"),
                                      (4, "search calls itself"),
                                      (8, "setrecursionlimit")]
+
+
+def collector_lines(tree):
+    """The lines of a parsed module that import or name ``gc``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if "gc" in names:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in Path(tilings.__file__).parent.glob("*.py")
+    if p.name != "complexes.py"))
+def test_only_complexes_names_the_collector(name):
+    path = Path(tilings.__file__).parent / name
+    assert collector_lines(ast.parse(path.read_text())) == []
+
+
+def test_collector_guard_sees_each_kind():
+    tree = ast.parse("import gc\n"
+                     "import os, gc as g\n"
+                     "from gc import disable\n"
+                     "gc.disable()\n"
+                     "x = g.isenabled()\n"
+                     "gcx = 1\n")
+    assert collector_lines(tree) == [1, 2, 3, 4]
+    path = Path(tilings.__file__).parent / "complexes.py"
+    assert collector_lines(ast.parse(path.read_text())) != []
