@@ -83,9 +83,9 @@ def cmd_complex(args) -> int:
     g = resolve_graph(args.input)
     k = build_complex(g)
     payload = _counts(g, k.f_vector())
-    payload["components"] = len(k.connected_components()) if k.faces else 0
+    payload["components"] = len(k.connected_components()) if len(k) else 0
     if args.betti:
-        payload["z2_betti"] = list(z2_betti(k)) if k.faces else []
+        payload["z2_betti"] = list(z2_betti(k)) if len(k) else []
     if args.collapse:
         verdict = collapse_search(k)
         payload["collapse"] = {"status": verdict.status,

@@ -2,21 +2,19 @@
 
 A face is a tiling: a partial matching together with a set of pairwise
 vertex-disjoint even elementary regions covering the remaining vertices.
-Faces are stored explicitly; instances stay small enough that brute-force
-enumeration doubles as the correctness oracle for everything downstream.
+Faces are stored explicitly, each as two ints: its edge code (the graph's
+``edge_bits``) and its region code, bit r for region r.
 """
 
 from __future__ import annotations
 
-import gc
-import threading
 from bisect import bisect_left
-from operator import attrgetter
+from functools import cached_property
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence)
+                    Sequence, Union)
 
 from .matchings import (Matching, _search_plan, count_on_plan,
-                        count_tilings, enumerate_perfect_matchings)
+                        count_tilings, matchings_of_adjacency, set_bits)
 from .planar import Edge, GraphError, PlanarGraph, edge_key
 
 
@@ -34,68 +32,96 @@ class TilingFace(NamedTuple):
         return (self.dim, sorted(self.cycles), self.matching.sorted_edges())
 
 
+def _face_code(g: PlanarGraph, f) -> Optional[tuple[int, int]]:
+    """(edge code, region code) of a face or (edges, cycles) pair, or None."""
+    try:
+        edges, cycles = f
+        return g.edge_code(edges), sum(1 << r for r in set(cycles))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 class CubicalMatchingComplex:
     """Faces of the cubical complex of ``graph``, sorted stably by dimension:
     within one they keep the order given, which :func:`build_complex` makes
-    that of :meth:`TilingFace.sort_key`.  Its readers rely on this order:
-    ``dim``, ``f_vector``, ``vertices``, ``connected_components`` and
-    ``verify``'s cube check read runs of it, and ``topology`` slices cells
-    by dimension.
+    that of :meth:`TilingFace.sort_key`.  Its readers read runs of this
+    order, and ``topology`` slices cells by dimension.
 
-    ``_index`` maps each face to its position, built on first use; a face
-    equals its (edge set, cycles) pair, so that pair finds it with no
-    ``TilingFace`` built."""
+    The faces are given as :class:`TilingFace` objects or (edges, cycles)
+    pairs, or as ``codes``, the lists of their edge and region codes in
+    order of dimension.  They are kept as those lists, which the package
+    reads; ``faces`` decodes them when first read."""
 
-    def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace]):
+    def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace] = (),
+                 codes: Optional[tuple[list[int], list[int]]] = None):
+        if codes is None:
+            pairs = []
+            for f in faces:
+                if (code := _face_code(graph, f)) is None:
+                    raise GraphError(f"{f} is not a face of the graph")
+                pairs.append(code)
+            pairs.sort(key=lambda code: code[1].bit_count())
+            codes = [e for e, _ in pairs], [c for _, c in pairs]
         self.graph = graph
-        faces = tuple(faces)
-        dims = list(map(len, map(attrgetter("cycles"), faces)))
-        # Faces handed over in order of dimension, as build_complex hands
-        # them, are kept as they are.
-        if dims != sorted(dims):
-            faces = tuple(sorted(faces, key=attrgetter("dim")))
-        self.faces: tuple[TilingFace, ...] = faces
-        # Set here, not on first use, so that every complex's attributes
-        # keep one shared layout.
-        self._positions: Optional[dict[TilingFace, int]] = None
+        self._edges, self._cycles = codes
 
-    @property
-    def _index(self) -> dict[TilingFace, int]:
-        if self._positions is None:
-            self._positions = {f: i for i, f in enumerate(self.faces)}
-        return self._positions
+    @cached_property
+    def faces(self) -> tuple[TilingFace, ...]:
+        """The faces as :class:`TilingFace` objects, decoded on first read."""
+        return tuple(self._decoded(len(self)))
+
+    def _decoded(self, stop: int) -> list[TilingFace]:
+        order = list(self.graph.edge_bits)
+        return [TilingFace(Matching.from_code(e, order),
+                           frozenset(set_bits(c)))
+                for e, c in zip(self._edges[:stop], self._cycles[:stop])]
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {code: i for i, code in
+                enumerate(zip(self._edges, self._cycles))}
+
+    def _at(self, edges: int, cycles: int) -> Optional[int]:
+        """The position of the face with these codes, or None."""
+        return self._index.get((edges, cycles))
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self._edges)
 
     def __contains__(self, f: TilingFace) -> bool:
-        return f in self._index
+        return self._index.get(_face_code(self.graph, f)) is not None
 
-    def position(self, f: TilingFace) -> int:
-        """The index of face f in :attr:`faces`."""
-        return self._index[f]
+    def position(self, f: Union[TilingFace, int]) -> int:
+        """The index of face f in :attr:`faces`; f may be that index."""
+        i = f if type(f) is int and 0 <= f < len(self) else \
+            self._index.get(_face_code(self.graph, f))
+        if i is None:
+            raise GraphError("face does not belong to the complex")
+        return i
 
     @property
     def dim(self) -> int:
-        return self.faces[-1].dim if self.faces else -1
+        return self._cycles[-1].bit_count() if self._cycles else -1
 
     def _start(self, d: int) -> int:
         """The position of the first face of dimension at least d."""
-        return bisect_left(self.faces, d, key=attrgetter("dim"))
+        return bisect_left(self._cycles, d, key=int.bit_count)
 
     def vertices(self) -> list[TilingFace]:
-        return list(self.faces[:self._start(1)])
+        return self._decoded(self._start(1))
+
+    def _facets(self, i: int) -> list[int]:
+        """The positions of the 2*dim faces covered by face i: each region r
+        of it, r in order, released into each of its alternations."""
+        e, c = self._edges[i], self._cycles[i]
+        alts, index = self.graph.alternation_codes, self._index
+        return [index[e | a, c ^ 1 << r] for r in set_bits(c)
+                for a in alts[r]]
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The 2*dim faces covered by f, as stored in this complex: region r
-        of f released into each of its boundary alternations, r in order."""
-        regions, faces, index = self.graph.regions, self.faces, self._index
-        out = []
-        for r in sorted(f.cycles):
-            rest = f.cycles - {r}
-            out += [faces[index[f.matching | alt, rest]]
-                    for alt in regions[r].alternations]
-        return out
+        """The 2*dim faces covered by f, as stored in this complex."""
+        faces = self.faces
+        return [faces[j] for j in self._facets(self.position(f))]
 
     def f_vector(self) -> list[int]:
         starts = [self._start(d) for d in range(self.dim + 2)]
@@ -107,43 +133,16 @@ class CubicalMatchingComplex:
     def connected_components(self) -> list["CubicalMatchingComplex"]:
         """The components, each keeping the order of the faces, in the order
         of their first faces; a connected complex is its own component.
-
         Each face is a cube, so it lies in the component of every vertex
         below it: the components are those of the 1-skeleton, found by a
-        union-find over the vertices.
-
-        A 1-face (M, {r}) joins M | a0 to M | a1, a0 and a1 the alternations
-        of r.  So with matchings coded as ints over the edges, each vertex m
-        holding a0 is joined to m ^ a0 ^ a1 when that is a vertex too.  The
-        complex of a graph holds every such 1-face, and a complex closed
-        under facets holds no other, so when these pairs number its 1-faces
-        they are its 1-faces.  A complex missing some has its own read."""
-        regions, one, two = self.graph.regions, self._start(1), self._start(2)
+        union-find over the vertices.  A 1-face (M, {r}) joins M + a0 to
+        M + a1, a0 and a1 the alternations of r."""
+        alts, one, two = self.graph.alternation_codes, self._start(1), \
+            self._start(2)
         if one == 1:
             return [self]
-        bit = {e: 1 << i for i, e in enumerate(self.graph.edges)}
-
-        def code(edges: frozenset[Edge]) -> int:
-            return sum(map(bit.__getitem__, frozenset.__iter__(edges)))
-
-        def positions() -> dict[Matching, int]:
-            return {f.matching: i for i, f in enumerate(self.faces[:one])}
-
-        at = {code(f.matching): i for i, f in enumerate(self.faces[:one])}
-        pairs = []
-        for r in regions:
-            if r.alternations:
-                a0, a1 = map(code, r.alternations)
-                flip = a0 ^ a1
-                pairs += [(i, at[m ^ flip]) for m, i in at.items()
-                          if m & a0 == a0 and m ^ flip in at]
-        if len(pairs) != two - one:
-            vertex, pairs = positions(), []
-            for f in self.faces[one:two]:
-                [r] = f.cycles
-                pairs.append([vertex[f.matching | alt]
-                              for alt in regions[r].alternations])
-
+        edges, cycles = self._edges, self._cycles
+        at = {m: i for i, m in enumerate(edges[:one])}
         parent = list(range(one))
 
         def find(i: int) -> int:
@@ -153,8 +152,8 @@ class CubicalMatchingComplex:
             return i
 
         count = one
-        for a, b in pairs:
-            a, b = find(a), find(b)
+        for e, c in zip(edges[one:two], cycles[one:two]):
+            a, b = (find(at[e | alt]) for alt in alts[c.bit_length() - 1])
             if a != b:
                 parent[a] = b
                 count -= 1
@@ -162,14 +161,14 @@ class CubicalMatchingComplex:
             return [self]
         # A face reaches a vertex by releasing each of its regions into its
         # first alternation.
-        vertex = positions()
-        groups: dict[int, list[TilingFace]] = {}
-        for f in self.faces:
-            m = f.matching.union(
-                *(regions[r].alternations[0] for r in f.cycles))
-            groups.setdefault(find(vertex[m]), []).append(f)
-        return [CubicalMatchingComplex(self.graph, fs)
-                for fs in groups.values()]
+        groups: dict[int, list[int]] = {}
+        for i, (e, c) in enumerate(zip(edges, cycles)):
+            for r in set_bits(c):
+                e |= alts[r][0]
+            groups.setdefault(find(at[e]), []).append(i)
+        return [CubicalMatchingComplex(self.graph, codes=(
+            [edges[i] for i in group], [cycles[i] for i in group]))
+            for group in groups.values()]
 
 
 def _even_regions(g: PlanarGraph) -> list[tuple[int, tuple[int, ...]]]:
@@ -190,67 +189,33 @@ def _counting_order(g: PlanarGraph) -> list[int]:
     return sorted(pos, key=lambda v: pos[v][::-1])
 
 
-class _CollectorPause:
-    """Holds the cyclic collector off inside ``with`` blocks.  A face is a
-    frozenset of edge tuples inside a named pair, which can form no cycle,
-    yet while a face list grows the collector scans it again and again and
-    frees nothing.  The first of overlapping blocks, in any thread, turns the
-    collector off; the last one out turns it back on, only if it was on
-    when the first came in.  The lock keeps the count and that record
-    consistent across threads."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = False
-
-    def __enter__(self):
-        with self._lock:
-            if not self._depth:
-                self._restore = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if not self._depth and self._restore:
-                gc.enable()
-
-
-_collector_paused = _CollectorPause()
-
-
 def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     """Every tiling (M, S) of g with S a set of vertex-disjoint even regions,
-    in the order of :meth:`TilingFace.sort_key`, built upward from the
-    perfect matchings of :func:`enumerate_perfect_matchings`.
+    in the order of :meth:`TilingFace.sort_key`, built upward from the codes
+    of the perfect matchings that :func:`matchings_of_adjacency` lists.
 
-    The tilings of S | {r}, r above every region of S, are those of S whose
+    The tilings of S + {r}, r above every region of S, are those of S whose
     matching holds r's first alternation, with it removed.  So the sets
     come out in order of (len S, sorted S), and each set's tilings in order
     of their sorted edge lists, which removing a common edge set keeps.  A
-    region that shares a vertex with S is skipped by its vertex bits.
-
-    The whole build runs with the cyclic collector paused
-    (:class:`_CollectorPause`)."""
-    with _collector_paused:
-        bit = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
-        even = [(i, r.alternations[0], sum(bit[v] for v in r.cycle))
-                for i, r in enumerate(g.regions) if r.alternations]
-        # (S, the vertices of S, the first index of ``even`` above S, the
-        # matchings of S); the loop reads the groups it appends.
-        groups = [(frozenset(), 0, 0, enumerate_perfect_matchings(g))]
-        faces = []
-        for s, covered, start, ms in groups:
-            faces += [TilingFace(m, s) for m in ms]
-            for j in range(start, len(even)):
-                label, alt, mask = even[j]
-                if not covered & mask:
-                    up = [Matching(m - alt) for m in ms if alt <= m]
-                    if up:
-                        groups.append((s | {label}, covered | mask, j + 1, up))
-        return CubicalMatchingComplex(g, faces)
+    region that shares a vertex with S is skipped by its vertex bits."""
+    bit, vertex = g.edge_bits, {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+    even = [(i, alts[0], sum(vertex[v] for v in g.regions[i].cycle))
+            for i, alts in enumerate(g.alternation_codes) if alts]
+    # (S, the vertices of S, the first index of ``even`` above S, the
+    # matchings of S); the loop reads the groups it appends.
+    groups = [(0, 0, 0, matchings_of_adjacency(g.vertex_ids, g.adj, bit))]
+    edges, cycles = [], []
+    for s, covered, start, ms in groups:
+        edges += ms
+        cycles += [s] * len(ms)
+        for j in range(start, len(even)):
+            label, alt, mask = even[j]
+            if not covered & mask:
+                up = [m ^ alt for m in ms if m & alt == alt]
+                if up:
+                    groups.append((s | 1 << label, covered | mask, j + 1, up))
+    return CubicalMatchingComplex(g, codes=(edges, cycles))
 
 
 def count_f_vector(g: PlanarGraph) -> list[int]:
@@ -315,17 +280,16 @@ def _counter_without(g: PlanarGraph, holding: Mapping[Edge, Sequence[int]]
     """The function ``count(vertices=(), edge=None)`` giving
     ``count_f_vector(g.subgraph(remove_vertices=vertices,
     remove_edges=[edge]))`` for distinct ``vertices``, every call counted on
-    one search plan of g: the vertices are covered from the start, and the
-    edge and the regions ``holding[edge]`` whose boundary holds it are
-    dropped from the moves.  Those are the subgraph's deletions, since a
-    region of g survives in it exactly when its whole boundary does.  The
-    plan follows :func:`_counting_order`, and gives each vertex's bit."""
-    plan, pos = _search_plan(_counting_order(g), g.adj, _even_regions(g))
+    one search plan of g in :func:`_counting_order`: the vertices are
+    covered from the start, and the edge and the regions ``holding[edge]``
+    whose boundary holds it, which the subgraph loses, leave the moves."""
+    plan, pos = _search_plan(_counting_order(g), g.adj, _even_regions(g),
+                             g.edge_bits)
 
     def count(vertices: Iterable[int] = (),
               edge: Optional[Edge] = None) -> list[int]:
-        return count_on_plan(plan, sum(1 << pos[v] for v in vertices), edge,
-                             holding.get(edge, ()))
+        return count_on_plan(plan, sum(1 << pos[v] for v in vertices),
+                             g.edge_bits.get(edge, 0), holding.get(edge, ()))
 
     return count
 

@@ -1,14 +1,21 @@
 """Tiling and perfect matching enumeration and counting, and the
-cube-coordinate embedding."""
+cube-coordinate embedding.  A matching is kept as its edge code, in the
+numbering of ``PlanarGraph.edge_bits``, and decoded only to be shown."""
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import count
 from operator import xor
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 from .geometry import common_lattice, interior_point, ray_crosses
 from .planar import Edge, GraphError, PlanarGraph
+
+
+def set_bits(code: int) -> list[int]:
+    """The indices of the set bits of a nonnegative int, increasing."""
+    return [i for i, b in enumerate(reversed(bin(code))) if b == "1"]
 
 
 class Matching(frozenset):
@@ -16,6 +23,11 @@ class Matching(frozenset):
     frozenset, and iterates over the edges in sorted order."""
 
     __slots__ = ()
+
+    @classmethod
+    def from_code(cls, code: int, edges: Sequence[Edge]) -> "Matching":
+        """The matching of a code, bit i for ``edges[i]``: the one decoder."""
+        return cls(map(edges.__getitem__, set_bits(code)))
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -39,75 +51,83 @@ class Matching(frozenset):
 
 def enumerate_perfect_matchings(g: PlanarGraph) -> list[Matching]:
     """All perfect matchings, sorted lexicographically by sorted edge list,
-    found by the search of :func:`matchings_of_adjacency`."""
-    return matchings_of_adjacency(g.vertex_ids, g.adj)
+    decoded from the codes of :func:`matchings_of_adjacency`."""
+    edges = list(g.edge_bits)
+    return [Matching.from_code(m, edges)
+            for m in matchings_of_adjacency(g.vertex_ids, g.adj, g.edge_bits)]
 
 
 def matchings_of_adjacency(vertices: Sequence[int],
-                           adj: Mapping[int, Sequence[int]]
-                           ) -> list[Matching]:
-    """Every perfect matching of a bare adjacency structure, each found
-    once by a backtracking search that covers the first uncovered vertex of
-    ``vertices`` by an edge to each uncovered neighbour in the order of
-    ``adj``.  With sorted vertices and lists, as a PlanarGraph keeps them,
-    the matchings come out in lexicographic order of their sorted edge
-    lists: where two first differ, both cover one vertex, by different edges.
+                           adj: Mapping[int, Sequence[int]],
+                           bit: Optional[Mapping[Edge, int]] = None
+                           ) -> list[int]:
+    """Every perfect matching of a bare adjacency structure, as its edge
+    code in the numbering ``bit`` (by default that of :func:`_search_plan`),
+    each found once by a backtracking search that covers the first
+    uncovered vertex of ``vertices`` by an edge to each uncovered neighbour
+    in the order of ``adj``.  With sorted vertices and lists, as a
+    PlanarGraph keeps them, the matchings come out in lexicographic order
+    of their sorted edge lists: where two first differ, both cover one
+    vertex, by different edges.
 
-    The covered vertices are the bits of one int, bit i standing for
-    ``vertices[i]``; the moves come from :func:`_search_plan`.  The search
-    runs on a list of frames: frame d holds the covered mask after the
-    first d edges placed and an iterator over the untried moves at the
-    first vertex that mask leaves uncovered, its lowest zero bit.
+    The covered vertices are the bits of one int, bit i for ``vertices[i]``.
+    Frame d of the search holds the covered mask and the code after d edges
+    placed, and an iterator over the untried moves at the first vertex
+    that mask leaves uncovered, its lowest zero bit.
     """
     if len(vertices) % 2 == 1:
         return []
     if not vertices:
-        return [Matching()]
-    moves, _ = _search_plan(vertices, adj, ())
+        return [0]
+    moves = [edge_moves for edge_moves, _ in
+             _search_plan(vertices, adj, (), bit)[0]]
     full = (1 << len(moves)) - 1
-    edges: list[Edge] = []
-    out: list[Matching] = []
-    frames = [(0, iter(moves[0][0]))]
+    out: list[int] = []
+    frames = [(0, 0, iter(moves[0]))]
     while frames:
-        covered, untried = frames[-1]
+        covered, code, untried = frames[-1]
         for b, e in untried:
             if not covered & b:
                 break
         else:
             # Back to the frame before, without the edge that led here.
             frames.pop()
-            del edges[-1:]
             continue
         covered |= b
         if covered == full:
-            out.append(Matching(edges + [e]))
+            out.append(code | e)
         else:
-            edges.append(e)
-            frames.append((covered, iter(
-                moves[(~covered & (covered + 1)).bit_length() - 1][0])))
+            frames.append((covered, code | e, iter(
+                moves[(~covered & (covered + 1)).bit_length() - 1])))
     return out
 
 
-_Moves = list[tuple[list[tuple[int, Edge]], list[tuple[int, int]]]]
+_Moves = list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]
 
 
 def _search_plan(order: Sequence[int],
                  adj: Mapping[int, Sequence[int]],
-                 regions: Iterable[tuple[int, Iterable[int]]]
+                 regions: Iterable[tuple[int, Iterable[int]]],
+                 bit: Optional[Mapping[Edge, int]] = None
                  ) -> tuple[_Moves, dict[int, int]]:
     """The moves of the matching search and the tiling count at each index
     i of their vertex order ``order``, when ``order[i]`` is the first
     uncovered vertex, and each vertex's index, the number of its bit.
 
     Every vertex before i is covered then, so the moves are the edges to
-    later neighbours, as (mask, edge) pairs in the order of ``adj`` with
-    each edge's ends increasing, and the regions whose first vertex is
-    ``order[i]``, as (mask, label) pairs.  A mask has bit j set for each
-    vertex ``order[j]`` the move covers, bit i included.
+    later neighbours, as (mask, edge bit) pairs in the order of ``adj``,
+    and the regions whose first vertex is ``order[i]``, as (mask, label)
+    pairs.  A mask has bit j set for each vertex ``order[j]`` the move
+    covers, bit i included.  An edge (u, v), u < v, has bit ``bit[u, v]``,
+    by default 1 << j for the j-th edge listed, which for sorted vertices
+    and lists, as a PlanarGraph keeps them, is its ``edge_bits``.
     """
     pos = {v: i for i, v in enumerate(order)}
+    listed = count()
     moves: _Moves = [
-        ([((1 << i) | (1 << pos[u]), (v, u) if v < u else (u, v))
+        ([((1 << i) | (1 << pos[u]),
+           1 << next(listed) if bit is None
+           else bit[(v, u) if v < u else (u, v)])
           for u in adj[v] if pos[u] > i], []) for i, v in enumerate(order)]
     for label, vs in regions:
         vs = [pos[v] for v in vs]
@@ -123,19 +143,18 @@ def count_tilings(vertices: Sequence[int],
     matching and S a set of vertex-disjoint regions among ``regions``, given
     as (label, vertices) pairs of even regions, that together cover every
     vertex: entry i is the number of tilings with i regions, trailing zeros
-    trimmed, and ``[]`` when there is no tiling.  No tiling is built.
-
-    The search plan of :func:`_search_plan` in the order of ``vertices``,
-    counted by :func:`count_on_plan`.
+    trimmed, and ``[]`` when there is no tiling.  No tiling is built: the
+    plan of :func:`_search_plan` is counted by :func:`count_on_plan`.
     """
     return count_on_plan(_search_plan(vertices, adj, regions)[0])
 
 
-def count_on_plan(moves: _Moves, start: int = 0, edge: Optional[Edge] = None,
+def count_on_plan(moves: _Moves, start: int = 0, edge: int = 0,
                   labels: Container[int] = ()) -> list[int]:
     """:func:`count_tilings` on the plan ``moves`` of a graph, with the
-    vertices of the bits of ``start`` deleted, and ``edge`` with the regions
-    labelled in ``labels`` (those whose boundary holds it) deleted too.
+    vertices of the bits of ``start`` deleted, and the edge of bit ``edge``
+    (none for 0) with the regions labelled in ``labels`` (those whose
+    boundary holds it) deleted too.
 
     The search makes the plan's moves, run forward over the vertex order.
     A state is the set of covered vertices, as a bitmask like the plan's
@@ -144,10 +163,9 @@ def count_on_plan(moves: _Moves, start: int = 0, edge: Optional[Edge] = None,
     covers it, and the others wait.  Searches that reach one state have the
     same completions, so they are merged and their counts by number of
     regions added.  On the cells of a polyomino swept along its longer side,
-    as :func:`count_f_vector` orders them, this is the
-    broken-profile transfer matrix.  A deleted vertex is covered from
-    the start, so no move that touches it is made; the deleted edge and
-    regions are dropped from the moves.
+    as :func:`count_f_vector` orders them, this is the broken-profile
+    transfer matrix.  A deleted vertex is covered from the start, and the
+    deleted edge and regions are dropped from the moves.
     """
     # Edges and even regions each cover an even number of vertices.
     if (len(moves) - start.bit_count()) % 2:
@@ -183,10 +201,12 @@ def _add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def cube_coordinates(g: PlanarGraph, matchings: Sequence[Matching]
-                     ) -> dict[Matching, tuple[int, ...]]:
-    """The cube embedding: each perfect matching M of g in ``matchings`` as a
-    point of {0,1}^d, d the number of regions, the first one at the origin.
+def cube_coordinates(g: PlanarGraph,
+                     matchings: Sequence[Union[Matching, int]]
+                     ) -> dict[Union[Matching, int], tuple[int, ...]]:
+    """The cube embedding: each perfect matching M of g in ``matchings``, a
+    Matching or its edge code, as a point of {0,1}^d, d the number of
+    regions, the first one at the origin.
 
     Coordinate i is the parity of the number of cycles of M + base, the
     symmetric difference with the first matching, that enclose an interior
@@ -201,15 +221,21 @@ def cube_coordinates(g: PlanarGraph, matchings: Sequence[Matching]
     k, pts = common_lattice([interior_point([lattice[v] for v in r.cycle])
                              for r in g.regions])
     pos = {v: (x * k, y * k) for v, (x, y) in lattice.items()}
-    mask = {(u, v): sum(1 << i for i, p in enumerate(pts)
-                        if ray_crosses(p, pos[u], pos[v])) for u, v in g.edges}
-    n = len(lattice)
+    edges = list(g.edge_bits)
+    mask = [sum(1 << i for i, p in enumerate(pts)
+                if ray_crosses(p, pos[u], pos[v])) for u, v in edges]
     bits = {}
     for m in matchings:
-        if 2 * len(m) != n or not m <= g.edges or len(m.covered) != n:
-            raise GraphError(f"{m.sorted_edges()} is not a perfect matching "
-                             "of the graph")
-        bits[m] = reduce(xor, (mask[e] for e in m), 0)
+        try:
+            code = m if isinstance(m, int) else g.edge_code(m)
+            placed = set_bits(code) if code >= 0 else None
+            ends = {v for i in placed for v in edges[i]}
+        except (IndexError, KeyError, TypeError):
+            placed = None
+        if placed is None or not 2 * len(placed) == len(ends) == len(pos):
+            raise GraphError(f"{m if isinstance(m, int) else sorted(m)} "
+                             "is not a perfect matching of the graph")
+        bits[m] = reduce(xor, map(mask.__getitem__, placed), 0)
     base = next(iter(bits.values()), 0)
     return {m: tuple((x ^ base) >> i & 1 for i in range(len(pts)))
             for m, x in bits.items()}

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import (Point, angle_less, as_point, common_lattice,
@@ -325,6 +325,21 @@ class PlanarGraph:
         return sorted(self.lattice)
 
     @cached_property
+    def edge_bits(self) -> dict[Edge, int]:
+        """Bit i for the i-th edge in sorted order: the code of edge sets."""
+        return {e: 1 << i for i, e in enumerate(sorted(self.edges))}
+
+    def edge_code(self, edges: Iterable[Edge]) -> int:
+        """The code of a set of edges; KeyError for one not in the graph."""
+        return sum(map(self.edge_bits.__getitem__, set(edges)))
+
+    @cached_property
+    def alternation_codes(self) -> tuple[tuple[int, ...], ...]:
+        """Each region's alternations as edge codes; none for an odd one."""
+        return tuple(tuple(map(self.edge_code, r.alternations))
+                     for r in self.regions)
+
+    @cached_property
     def _components(self) -> int:
         """The number of connected components; a graph built by __init__
         has it from there."""
@@ -506,20 +521,16 @@ def build_ladder(n: int, bump: Optional[int] = None) -> PlanarGraph:
 
 
 def classify_edges(g: PlanarGraph) -> EdgeClassification:
-    from .matchings import enumerate_perfect_matchings
+    """An edge is forced when every perfect matching holds it, forbidden
+    when none does: the bits of the AND and of the OR of their codes."""
+    from .matchings import matchings_of_adjacency
 
-    matchings = enumerate_perfect_matchings(g)
-    if not matchings:
-        return EdgeClassification({e: "forbidden" for e in g.edges}, False)
-    count: dict[Edge, int] = {e: 0 for e in g.edges}
-    for m in matchings:
-        for e in m:
-            count[e] += 1
-    total = len(matchings)
-    status = {}
-    for e, c in count.items():
-        status[e] = "forced" if c == total else "forbidden" if c == 0 else "free"
-    return EdgeClassification(status, True)
+    codes = matchings_of_adjacency(g.vertex_ids, g.adj, g.edge_bits)
+    forced = reduce(int.__and__, codes) if codes else 0
+    used = reduce(int.__or__, codes, 0)
+    return EdgeClassification(
+        {e: "forced" if forced & b else "free" if used & b else "forbidden"
+         for e, b in g.edge_bits.items()}, bool(codes))
 
 
 def reduce_graph(g: PlanarGraph) -> PlanarGraph:

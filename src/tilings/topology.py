@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Optional, Union
 
 from .complexes import CubicalMatchingComplex, TilingFace
+from .matchings import set_bits
 from .planar import GraphError
 
 
@@ -58,63 +59,62 @@ def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
 
 
 def matched_region_graph(k: CubicalMatchingComplex,
-                         f: TilingFace) -> dict[int, set[int]]:
+                         f: Union[TilingFace, int]) -> dict[int, set[int]]:
     """The subgraph of the weak dual induced on regions whose boundary
-    alternates in and out of the face's matching, as neighbour sets: two
-    such regions are adjacent when they share an edge."""
-    if f not in k:
-        raise GraphError("face does not belong to the complex")
-    regions = k.graph.regions
-    matched = [r for r, region in enumerate(regions)
-               if any(alt <= f.matching for alt in region.alternations)]
-    return {a: {b for b in matched if b != a and not
-                regions[a].edge_set.isdisjoint(regions[b].edge_set)}
-            for a in matched}
+    alternates in and out of the matching of face f of k (or at position
+    f), as neighbour sets: two are adjacent when they share an edge."""
+    m = k._edges[k.position(f)]
+    # An even region's edges are its two alternations.
+    edges = {r: alts[0] | alts[1]
+             for r, alts in enumerate(k.graph.alternation_codes)
+             if any(m & a == a for a in alts)}
+    return {a: {b for b, e in edges.items() if b != a and e & ea}
+            for a, ea in edges.items()}
 
 
-def link_of_face(k: CubicalMatchingComplex, f: TilingFace,
+def link_of_face(k: CubicalMatchingComplex, f: Union[TilingFace, int],
                  check_model: bool = True) -> SimplicialComplex:
-    """Link of a face f = (M, S), read from the faces above it.  A co-face
-    is fixed by the set T of regions it adds: its matching is M without the
-    alternations of T's regions, which lie in M.  The walk goes up one
-    region at a time from T = {}, keeping each state's matching edges:
-    T + {r} covers T when an alternation of r lies in those edges and the
-    flipped pair is a face of k.  The reached sets T with no cover are the
-    facets of the link.  Flipped pairs are looked up in k; no face is built.
+    """Link of a face f = (M, S) of k, or of the face at position f, read
+    from the faces above it.  A co-face is fixed by the set T of regions it
+    adds: its matching is M without the alternations of T's regions.  The
+    walk goes up one region at a time from T = {}, keeping each state's
+    matching code: T + {r} covers T when an alternation of r lies in it and
+    the flipped pair of codes is a face of k.  The reached sets T with no
+    cover are the facets of the link.  No face is decoded.
 
     The result is certified against the independence complex of the matched
     region graph; a mismatch is an invariant violation and raises.
     """
-    if f not in k:
-        raise GraphError("face does not belong to the complex")
-    matched = [(r, alt) for r, region in enumerate(k.graph.regions)
-               for alt in region.alternations if alt <= f.matching]
-    seen, stack, facets = {frozenset()}, [(frozenset(), f.matching)], []
+    i, at = k.position(f), k._at
+    edges, cycles = k._edges[i], k._cycles[i]
+    matched = [(1 << r, alt) for r, alts in enumerate(
+        k.graph.alternation_codes) for alt in alts if edges & alt == alt]
+    seen, stack, facets = {0}, [(0, edges)], []
     while stack:
-        t, edges = stack.pop()
+        t, m = stack.pop()
         covered = False
         for r, alt in matched:
-            if alt <= edges and (edges - alt, f.cycles | t | {r}) in k:
-                covered, up = True, t | {r}
+            if m & alt == alt and at(m ^ alt, cycles | t | r) is not None:
+                covered, up = True, t | r
                 if up not in seen:
                     seen.add(up)
-                    stack.append((up, edges - alt))
+                    stack.append((up, m ^ alt))
         if not covered and t:
-            facets.append(t)
+            facets.append(frozenset(set_bits(t)))
     link = SimplicialComplex(frozenset(r for s in facets for r in s),
                              frozenset(facets))
     if check_model:
-        _certify_link(f, link,
-                      independence_complex(matched_region_graph(k, f)))
+        _certify_link(k, i, link,
+                      independence_complex(matched_region_graph(k, i)))
     return link
 
 
-def _certify_link(f: TilingFace, link: SimplicialComplex,
+def _certify_link(k: CubicalMatchingComplex, i: int, link: SimplicialComplex,
                   model: SimplicialComplex) -> None:
-    """Raise unless the link of f equals its independence-complex model."""
-    if link.vertices != model.vertices or link.facets != model.facets:
-        raise GraphError(
-            f"link of {f} differs from the independence-complex model")
+    """Raise, naming face i of k, unless its link equals its model."""
+    if link != model:
+        raise GraphError(f"link of {k.faces[i]} differs from the "
+                         "independence-complex model")
 
 
 # -- Z/2 homology -----------------------------------------------------------------
@@ -136,15 +136,15 @@ def _cells_and_boundaries(
         c: Union[SimplicialComplex, CubicalMatchingComplex]
 ) -> tuple[list, list[int], list[list[int]]]:
     """The face poset of a complex: its cells in order of dimension, their
-    dimensions, and the facets of each cell as indices into the cells."""
+    dimensions, and the facets of each cell as indices into the cells.  The
+    cells of a cubical complex are the positions of its faces."""
     if isinstance(c, SimplicialComplex):
         cells = c.all_faces()
         index = {f: i for i, f in enumerate(cells)}
         facets = [[index[f - {v}] for v in f if len(f) > 1] for f in cells]
         return cells, [len(f) - 1 for f in cells], facets
-    cells = list(c.faces)
-    facets = [[c.position(g) for g in c.facets_of(f)] for f in cells]
-    return cells, [f.dim for f in cells], facets
+    facets = list(map(c._facets, range(len(c))))
+    return list(range(len(c))), list(map(int.bit_count, c._cycles)), facets
 
 
 def z2_betti(c: Union[SimplicialComplex, CubicalMatchingComplex]
@@ -179,6 +179,7 @@ def _betti(dims: list[int], facets: list[list[int]]) -> tuple[int, ...]:
 @dataclass
 class CollapseVerdict:
     status: str  # collapsible | not_collapsible | inconclusive
+    # The pairs (sigma, tau) collapsed; face positions for a cubical complex.
     certificate: Optional[list[tuple]] = None
     reason: Optional[str] = None
 

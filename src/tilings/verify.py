@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterator, Mapping, Optional
 
-from .complexes import (CubicalMatchingComplex, TilingFace, build_complex,
+from .complexes import (CubicalMatchingComplex, build_complex,
                         edge_decompositions)
 from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
                       affine_rank, apply_A, bareiss_rank,
@@ -24,7 +24,7 @@ from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
                       multiset_no_consecutive_count, p_closed_form,
                       p_polynomial)
 from .fixtures import figure_counterexample, iter_fixture_graphs
-from .matchings import Matching, cube_coordinates
+from .matchings import cube_coordinates, set_bits
 from .planar import PlanarGraph, reduce_graph
 from .topology import (_certify_link, collapse_search, independence_complex,
                        kozlov_reference_betti, link_of_face,
@@ -126,7 +126,8 @@ class Corpus:
         if name not in self._face_models:
             k = self.complex(name, g)
             self._face_models[name] = [
-                self.link_model(matched_region_graph(k, f)) for f in k.faces]
+                self.link_model(matched_region_graph(k, i))
+                for i in range(len(k))]
         return self._face_models[name]
 
     def link_model(self, h: Mapping[int, Collection[int]]) -> LinkModel:
@@ -189,7 +190,7 @@ def _check(check_id: str, statement: str
 def check_euler(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
-        if k.faces:
+        if len(k):
             comps = len(corpus.components(name, g))
             yield None if k.euler_characteristic() == comps else {
                 "fixture": name, "f_vector": k.f_vector(), "components": comps}
@@ -306,11 +307,12 @@ def check_affine(corpus: Corpus) -> Cases:
 def check_links(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
-        for f, model in zip(k.faces, corpus.link_models(name, g)):
+        for i, model in enumerate(corpus.link_models(name, g)):
             try:
-                _certify_link(f, link_of_face(k, f, check_model=False),
+                _certify_link(k, i, link_of_face(k, i, check_model=False),
                               model.complex)
             except Exception as exc:
+                f = k.faces[i]
                 yield {"fixture": name,
                        "face": {"matching": [list(e) for e in f.matching],
                                 "cycles": sorted(f.cycles)},
@@ -326,10 +328,10 @@ def check_bipartite(corpus: Corpus) -> Cases:
         if not _bipartite(g.adj):
             continue
         k = corpus.complex(name, g)
-        for f, model in zip(k.faces, corpus.link_models(name, g)):
+        for i, model in enumerate(corpus.link_models(name, g)):
             if not model.bipartite:
                 yield {"fixture": name, "part": "bipartite",
-                       "cycles": sorted(f.cycles)}
+                       "cycles": set_bits(k._cycles[i])}
                 continue
             yield None if model.b0 <= 2 else {"fixture": name, "part": "b0",
                                               "b0": model.b0}
@@ -398,35 +400,31 @@ def check_decomposition(corpus: Corpus) -> Cases:
 def check_cube(corpus: Corpus) -> Cases:
     for name, g in corpus.graphs():
         k = corpus.complex(name, g)
-        verts = k.vertices()
+        verts = k._edges[:k._start(1)]
         if not verts:
             continue
-        coords = cube_coordinates(g, [v.matching for v in verts])
-        if len(set(coords.values())) != len(coords):
+        points = list(cube_coordinates(g, verts).values())
+        if len(set(points)) != len(points):
             yield {"fixture": name, "part": "injectivity"}
             continue
-        f = _off_axis_edge(k, coords)
-        yield None if f is None else {
-            "fixture": name, "part": "subcube", "cycles": sorted(f.cycles),
-            "vertices_below": 2}
+        i = _off_axis_edge(k, points)
+        yield None if i is None else {
+            "fixture": name, "part": "subcube",
+            "cycles": set_bits(k._cycles[i]), "vertices_below": 2}
 
 
 def _off_axis_edge(k: CubicalMatchingComplex,
-                   coords: Mapping[Matching, tuple[int, ...]]
-                   ) -> Optional[TilingFace]:
-    """The first 1-face of k whose ends' points differ anywhere but at its
-    region, or None, and then every face of k is a full subcube: two vertices
-    below a face that differ only in region r's alternation are the ends of
-    a 1-face, which k holds as it holds every tiling, so the points below
-    are one point plus every sum of the unit vectors of the face's regions.
-    The 1-faces follow the vertices in k's order of dimension."""
-    for f in k.faces:
-        if f.dim > 1:
-            break
-        if f.dim:
-            a, b = (coords[v.matching] for v in k.facets_of(f))
-            if {i for i, x in enumerate(a) if x != b[i]} != f.cycles:
-                return f
+                   points: list[tuple[int, ...]]) -> Optional[int]:
+    """The position of the first 1-face of k whose ends' points, in the
+    order of k's vertices, differ anywhere but at its region, or None, and
+    then every face of k is a full subcube: two vertices below a face that
+    differ only in region r's alternation are the ends of a 1-face, which k
+    holds as it holds every tiling, so the points below are one point plus
+    every sum of the unit vectors of the face's regions."""
+    for i in range(k._start(1), k._start(2)):
+        a, b = (points[j] for j in k._facets(i))
+        if [j for j, x in enumerate(a) if x != b[j]] != set_bits(k._cycles[i]):
+            return i
     return None
 
 

@@ -1,7 +1,5 @@
 import gc
 import itertools
-import sys
-import threading
 from contextlib import contextmanager
 
 import pytest
@@ -19,6 +17,7 @@ from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
 from tilings.matchings import Matching, enumerate_perfect_matchings
 from tilings.planar import (GraphError, PlanarGraph, build_ladder,
                             graph_from_cells)
+from tilings.topology import link_of_face, matched_region_graph
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -142,6 +141,50 @@ class TestComponents:
         for c in comps:
             assert [f for f in k.faces if f in c] == list(c.faces)
             assert [c.position(f) for f in c.faces] == list(range(len(c)))
+
+
+class TestForeignFaces:
+    """A face the complex does not hold gives a GraphError, never a
+    KeyError, whether it is a tiling the complex lacks or names an edge or
+    a region the graph does not have; ``in`` says False."""
+
+    FOREIGN = {
+        # Coded in g2's numbering, but not a face of g2.
+        "empty matching, region 0":
+            lambda k: TilingFace(Matching(), frozenset({0})),
+        "edge not in the graph":
+            lambda k: TilingFace(Matching({(0, 99)}), frozenset()),
+        "a face's edges and one more":
+            lambda k: TilingFace(Matching(k.faces[0].matching | {(0, 99)}),
+                                 frozenset()),
+        "region not in the graph":
+            lambda k: TilingFace(k.faces[0].matching, frozenset({99})),
+        "negative region": lambda k: (k.faces[0].matching, frozenset({-1})),
+        "not a pair": lambda k: (k.faces[0].matching,),
+    }
+
+    @pytest.mark.parametrize("make", FOREIGN.values(), ids=FOREIGN)
+    def test_foreign_face(self, make):
+        k = build_complex(figure_g2())
+        f = make(k)
+        assert f not in k
+        for read in (k.position, k.facets_of,
+                     lambda f: link_of_face(k, f),
+                     lambda f: matched_region_graph(k, f)):
+            with pytest.raises(GraphError, match="does not belong"):
+                read(f)
+
+    def test_foreign_face_in_a_new_complex(self):
+        k = build_complex(figure_g2())
+        with pytest.raises(GraphError, match="not a face of the graph"):
+            CubicalMatchingComplex(k.graph, [*k.faces, TilingFace(
+                Matching({(0, 99)}), frozenset())])
+
+    def test_positions_out_of_range(self):
+        k = build_complex(figure_g2())
+        for i in (-1, len(k)):
+            with pytest.raises(GraphError, match="does not belong"):
+                link_of_face(k, i)
 
 
 class TestFaceRepr:
@@ -327,7 +370,7 @@ def test_components_match_with_each_one_face_dropped(build):
             assert_components_match(without_one_faces(k, [f]))
 
 
-# -- the collector pause ------------------------------------------------------
+# -- the collector ---------------------------------------------------------
 
 
 @contextmanager
@@ -341,118 +384,8 @@ def collector(on):
         (gc.enable if was else gc.disable)()
 
 
-def test_faces_are_made_with_the_collector_off(monkeypatch):
-    seen = []
-    search = complexes.enumerate_perfect_matchings
-
-    def recording_search(g):
-        seen.append(("search", gc.isenabled()))
-        return search(g)
-
-    class RecordingComplex(CubicalMatchingComplex):
-        def __init__(self, graph, faces):
-            seen.append(("complex", gc.isenabled()))
-            super().__init__(graph, faces)
-
-    monkeypatch.setattr(complexes, "enumerate_perfect_matchings",
-                        recording_search)
-    monkeypatch.setattr(complexes, "CubicalMatchingComplex", RecordingComplex)
-    with collector(True):
-        k = build_complex(figure_g2())
-        assert gc.isenabled()
-    assert seen == [("search", False), ("complex", False)]
-    assert k.f_vector() == count_f_vector(k.graph)
-
-
 @pytest.mark.parametrize("on", [True, False])
 def test_build_leaves_the_collector_as_it_found_it(on):
     with collector(on):
         build_complex(figure_g2())
-        assert gc.isenabled() is on
-
-
-@pytest.mark.parametrize("on", [True, False])
-def test_failing_build_restores_the_collector(monkeypatch, on):
-    def fail(g):
-        raise GraphError("search failed")
-
-    with collector(on):
-        with monkeypatch.context() as patch:
-            patch.setattr(complexes, "enumerate_perfect_matchings", fail)
-            with pytest.raises(GraphError, match="search failed"):
-                build_complex(figure_g2())
-            assert gc.isenabled() is on
-        # The failed build left no pause open: the next one restores too.
-        gc.enable()
-        build_complex(figure_g2())
-        assert gc.isenabled()
-
-
-def test_overlapping_builds_pause_until_the_last_ends(monkeypatch):
-    # Build a enters, then b; a ends while b is still building.
-    search = complexes.enumerate_perfect_matchings
-    entered = {name: threading.Event() for name in "ab"}
-    release = {name: threading.Event() for name in "ab"}
-    seen = {}
-
-    def held_search(g):
-        name = threading.current_thread().name
-        entered[name].set()
-        assert release[name].wait(timeout=60)
-        return search(g)
-
-    class RecordingComplex(CubicalMatchingComplex):
-        def __init__(self, graph, faces):
-            seen[threading.current_thread().name] = gc.isenabled()
-            super().__init__(graph, faces)
-
-    monkeypatch.setattr(complexes, "enumerate_perfect_matchings", held_search)
-    monkeypatch.setattr(complexes, "CubicalMatchingComplex", RecordingComplex)
-    threads = {name: threading.Thread(target=build_complex, args=(c4(),),
-                                      name=name) for name in "ab"}
-    with collector(True):
-        try:
-            for name in "ab":
-                threads[name].start()
-                assert entered[name].wait(timeout=60)
-            release["a"].set()
-            threads["a"].join(timeout=60)
-            assert not threads["a"].is_alive()
-            assert not gc.isenabled()
-        finally:
-            for name in "ab":
-                release[name].set()
-                threads[name].join(timeout=60)
-        assert not threads["b"].is_alive()
-        assert gc.isenabled()
-    assert seen == {"a": False, "b": False}
-
-
-@pytest.mark.parametrize("on", [True, False])
-def test_concurrent_builds_keep_the_collector(on):
-    errors = []
-
-    def build_often(g, f_vector):
-        try:
-            for _ in range(1000):
-                assert build_complex(g).f_vector() == f_vector
-        except BaseException as exc:
-            errors.append(exc)
-
-    graphs = [c4(), figure_g1(), figure_g2(), build_ladder(2)]
-    work = [(g, build_complex(g).f_vector()) for g in graphs]
-    interval = sys.getswitchinterval()
-    with collector(on):
-        threads = [threading.Thread(target=build_often, args=args)
-                   for args in work]
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
         assert gc.isenabled() is on

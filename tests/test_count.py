@@ -32,8 +32,10 @@ from tilings.complexes import (TilingFace, build_complex, count_f_vector,
                                edge_decompositions, verify_edge_decomposition)
 from tilings.fibpoly import f_polynomial
 from tilings.fixtures import core_fixture_names, named_fixture
-from tilings.matchings import _search_plan, count_on_plan, count_tilings
-from tilings.planar import build_ladder, graph_from_cells
+from tilings.matchings import (Matching, _search_plan, count_on_plan,
+                               count_tilings)
+from tilings.planar import build_from_polyomino, build_ladder, graph_from_cells
+from tilings.verify import Bounds, run_verification
 
 
 def assert_counts_match(g):
@@ -162,10 +164,11 @@ def test_counts_without_match_subgraph_counts(case):
     edge = min(re, default=None)
     plan, pos = _search_plan(g.vertex_ids, g.adj,
                              [(i, r.cycle) for i, r in enumerate(g.regions)
-                              if r.alternations])
+                              if r.alternations], g.edge_bits)
     start = sum(1 << pos[v] for v in rv)
     labels = [i for i, r in enumerate(g.regions) if edge in r.edge_set]
-    assert count_on_plan(plan, start, edge, labels) == count_f_vector(
+    assert count_on_plan(plan, start, g.edge_bits.get(edge, 0),
+                         labels) == count_f_vector(
         g.subgraph(remove_vertices=rv, remove_edges=[edge] if edge else []))
 
 
@@ -229,11 +232,19 @@ def test_bypass_guard_sees_each_kind():
                                    (2, "tuple.__new__")]
 
 
+def forbid_decoding(monkeypatch):
+    """Make every decoding of a code, into a matching and so into a face,
+    fail from now on, and check that it does."""
+    def decode(cls, code, edges):
+        raise AssertionError("a code was decoded")
+    monkeypatch.setattr(Matching, "from_code", classmethod(decode))
+    with pytest.raises(AssertionError, match="decoded"):
+        build_complex(named_fixture("g2")).faces
+
+
 def test_counting_builds_no_faces(monkeypatch, capsys):
     g = named_fixture("g2")
-    monkeypatch.setattr(complexes, "TilingFace", NoFaces)
-    with pytest.raises(AssertionError, match="TilingFace"):
-        build_complex(g)
+    forbid_decoding(monkeypatch)
     assert count_f_vector(g) == [5, 5, 1]
     assert count_tilings(g.vertex_ids, g.adj) == [5]
     reports = edge_decompositions(g, f_g=[5, 5, 1])
@@ -241,6 +252,16 @@ def test_counting_builds_no_faces(monkeypatch, capsys):
     assert verify_edge_decomposition(g, reports[0]["edge"])["ok"]
     assert main(["count", "g2"]) == 0
     assert "f_vector: [5, 5, 1]" in capsys.readouterr().out
+
+
+def test_verify_and_count_decode_nothing(monkeypatch):
+    forbid_decoding(monkeypatch)
+    report = run_verification("all", Bounds(max_ladder=4, max_cells=6,
+                                            random_count=3))
+    assert report.ok and len(report.results) == 12
+    assert all(r.checked for r in report.results)
+    assert count_f_vector(build_from_polyomino("####\n####\n####")) == \
+        [11, 14, 4]
 
 
 # -- the count command -------------------------------------------------------

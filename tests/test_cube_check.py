@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import is_subcube, polyominoes, vertices_below
-from test_fast_paths import Untouched
-from tilings.complexes import CubicalMatchingComplex, build_complex
+from test_count import forbid_decoding
+from test_fast_paths import guarded
+from tilings.complexes import build_complex
 from tilings.matchings import cube_coordinates
 from tilings.planar import graph_from_cells
 from tilings.verify import Bounds, Corpus, _off_axis_edge, check_cube
@@ -69,9 +70,11 @@ def assert_edges_match_faces(k, rng):
         maps += corrupted(coords, rng)
     failures = 0
     for c in maps:
-        f = _off_axis_edge(k, c)
-        assert first_failure_by_faces(k, c) == (None if f is None else (f, 2))
-        failures += f is not None
+        # The points in the order of the vertices, as the check reads them.
+        i = _off_axis_edge(k, list(c.values()))
+        assert first_failure_by_faces(k, c) == (
+            None if i is None else (k.faces[i], 2))
+        failures += i is not None
     return failures
 
 
@@ -96,13 +99,13 @@ def test_check_matches_reference_on_polyominoes(cells, rng):
         assert_edges_match_faces(k, rng)
 
 
-def test_check_cube_reads_no_face_above_dimension_1():
+def test_check_cube_reads_no_face_above_dimension_1(monkeypatch):
     corpus = Corpus(Bounds(max_ladder=5, max_cells=6, random_count=2))
     want = check_cube(corpus)
     assert want.passed and want.checked > 0
     complexes = corpus._complexes
     assert max(k.dim for k in complexes.values()) >= 2
+    forbid_decoding(monkeypatch)
     for name, k in complexes.items():
-        complexes[name] = CubicalMatchingComplex(
-            k.graph, [f if f.dim < 2 else Untouched(*f) for f in k.faces])
+        complexes[name] = guarded(k)
     assert check_cube(corpus) == want

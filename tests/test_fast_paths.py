@@ -1,10 +1,11 @@
 """The fast paths of the complex build against the paths they replace.
 
-``matchings_of_adjacency`` keeps the covered vertices as the bits of one int
-and reads a move table; ``build_complex`` builds each face upward from a
-perfect matching by taking out one region's alternation at a time, in
-order and with no sort; ``count_tilings`` merges equal covered sets;
-``connected_components`` joins vertices along the 1-skeleton.  Their
+``matchings_of_adjacency`` keeps the covered vertices as the bits of one int,
+reads a move table and gives each matching as its edge code;
+``build_complex`` builds each face upward from a perfect matching by taking
+out one region's alternation at a time, in order and with no sort;
+``count_tilings`` merges equal covered sets; ``connected_components`` joins
+vertices along the 1-skeleton.  Their
 references are kept here: a search for every tiling, regions as moves,
 over a set of covered vertices; a sort of its tilings by
 ``TilingFace.sort_key``; and a union-find over every face.
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import grown_polyominoes, polyominoes
+from test_count import forbid_decoding
 from tilings.complexes import (CubicalMatchingComplex, TilingFace,
                                _even_regions, build_complex)
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
@@ -102,8 +104,11 @@ def never_called(self):
 def assert_fast_paths_match(g, seed=0):
     regions = _even_regions(g)
     want = set_search(g.vertex_ids, g.adj, regions)
-    # The same perfect matchings, in the same order.
-    assert (matchings_of_adjacency(g.vertex_ids, g.adj)
+    # The same perfect matchings, in the same order, coded in the numbering
+    # of g's edges whether or not it is passed.
+    codes = matchings_of_adjacency(g.vertex_ids, g.adj)
+    assert codes == matchings_of_adjacency(g.vertex_ids, g.adj, g.edge_bits)
+    assert ([Matching.from_code(m, list(g.edge_bits)) for m in codes]
             == [m for m, _ in set_search(g.vertex_ids, g.adj)])
     counts = [0] * (max((len(s) for _, s in want), default=-1) + 1)
     for _, s in want:
@@ -183,18 +188,37 @@ def test_no_perfect_matching_has_no_components():
     assert len(k) == 0 and k.connected_components() == []
 
 
-class Untouched(TilingFace):
-    """A face whose matching may not be read."""
+class Untouched(int):
+    """The edge code of a face above dimension 1: it hashes and compares as
+    its int, as a key of the complex's index must, but any bit operation on
+    it, which reading the face takes, fails."""
 
-    @property
-    def matching(self):
+    def _visit(self, other):
         raise AssertionError("a face above dimension 1 was visited")
+
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _visit
+
+
+def guarded(k):
+    """A copy of k whose faces above dimension 1 have untouchable edge
+    codes."""
+    return CubicalMatchingComplex(k.graph, codes=(
+        [e if c.bit_count() < 2 else Untouched(e)
+         for e, c in zip(k._edges, k._cycles)], k._cycles))
+
+
+def test_untouched_codes_fail_when_read():
+    k = guarded(build_complex(build_from_polyomino("####\n####")))
+    assert k.dim == 2
+    with pytest.raises(AssertionError, match="visited"):
+        k._facets(len(k) - 1)
 
 
 @pytest.mark.parametrize("text", ["####\n####\n####", "####\n####"])
-def test_connected_complex_visits_no_face_above_dimension_1(text):
+def test_connected_complex_visits_no_face_above_dimension_1(text,
+                                                            monkeypatch):
     k = build_complex(build_from_polyomino(text))
     assert k.dim >= 2
-    guarded = CubicalMatchingComplex(
-        k.graph, [f if f.dim < 2 else Untouched(*f) for f in k.faces])
-    assert guarded.connected_components() == [guarded]
+    forbid_decoding(monkeypatch)
+    k = guarded(k)
+    assert k.connected_components() == [k]

@@ -10,7 +10,9 @@ corpus shapes themselves: names and sorted cells of the polyomino zoo and
 of two seeds of random shapes.  ``VERIFY_DIGEST``, ``DUMP_DIGEST`` and
 ``TABLE_DIGESTS`` pin the output of ``verify``, the files of ``fixtures
 dump`` and the table output of ``count`` and ``complex``; ``POLY_DIGESTS``
-pins ``poly`` over small ladders and degrees.
+pins ``poly`` over small ladders and degrees.  ``FACE_DIGEST`` pins the
+faces themselves, in the order ``k.faces`` reads them, on the seed-1 corpus
+and on the five seed-1 shapes of the benchmark's ``grid-complex``.
 """
 
 import hashlib
@@ -18,8 +20,10 @@ import hashlib
 import pytest
 
 from tilings.cli import main
-from tilings.fixtures import (core_fixture_names, polyomino_zoo,
-                              random_quad_glued)
+from tilings.complexes import build_complex
+from tilings.fixtures import (core_fixture_names, iter_fixture_graphs,
+                              polyomino_zoo, random_quad_glued)
+from tilings.planar import build_from_polyomino
 
 DIGESTS = {
     "g1":
@@ -172,6 +176,22 @@ SHAPE_DIGESTS = {
 VERIFY_DIGEST = \
     "ba3c4dc98002453c1f491535cb1ed0ee784421d20a255ff2d1bd84ae4e7d1730"
 
+# SHA-256 over every face, as the line "sorted edges sorted cycles", of the
+# seed-1 corpus at the default bounds and then of ``GRID_SHAPES``, each
+# graph's faces in ``k.faces`` order after a line with its name.
+FACE_DIGEST = \
+    "2aa6d23e8f7f3de4a64f92b4572aef345f52b3112f107749f030c8964793a1cd"
+
+# The shapes of ``perfbench/run.py --workload grid-complex --seed 1``.
+GRID_SHAPES = {
+    "rect-4x6": "######\n" * 4,
+    "rect-3x10": "##########\n" * 3,
+    "fat-1-0": "..####\n..####\n#####.\n######\n######\n###...\n.##...\n",
+    "fat-1-1": "..##\n..##\n.###\n.###\n..##\n.###\n.##.\n###.\n####\n"
+               "####\n##..\n",
+    "fat-1-2": "....##\n.#####\n######\n######\n.#####\n.####.\n.##...\n",
+}
+
 # SHA-256 over the files that ``fixtures dump`` writes, in order of name:
 # each file's name, a newline, then its bytes.
 DUMP_DIGEST = \
@@ -301,3 +321,16 @@ def test_poly_output_digest(capsys, kind):
         out, _ = capsys.readouterr()
         digest.update(out.encode())
     assert digest.hexdigest() == POLY_DIGESTS[kind]
+
+
+def test_face_digest():
+    graphs = list(iter_fixture_graphs(seed=1))
+    graphs += [(name, build_from_polyomino(text))
+               for name, text in GRID_SHAPES.items()]
+    digest = hashlib.sha256()
+    for name, g in graphs:
+        digest.update(f"{name}\n".encode())
+        for f in build_complex(g).faces:
+            digest.update(f"{f.matching.sorted_edges()} "
+                          f"{sorted(f.cycles)}\n".encode())
+    assert digest.hexdigest() == FACE_DIGEST

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from reference import (boundary_of_boundary_vanishes, face_leq, from_faces,
                        polyominoes)
-from test_count import NoFaces
-from tilings import complexes, topology
+from test_count import NoFaces, forbid_decoding
+from tilings import complexes
 from tilings.complexes import (CubicalMatchingComplex, build_complex,
                                count_f_vector)
 from tilings.fixtures import (core_fixture_names, figure_counterexample,
@@ -142,18 +142,18 @@ class TestLink:
                 link_of_face(k, f)  # raises on model mismatch
 
     def test_walk_builds_no_faces(self, monkeypatch):
-        # The walk reads the complex's index and builds no face: the link
+        # The walk reads the complex's index and decodes no face: the link
         # must not become a second face enumeration checked against itself.
         ks = [build_complex(g) for g in
               [build_ladder(4), figure_counterexample(), triangular_prism(),
                build_ladder(3, bump=2), build_from_polyomino("###\n###\n##.")]]
         want = [[link_of_face(k, f, check_model=False) for f in k.faces]
                 for k in ks]
-        monkeypatch.setattr(complexes, "TilingFace", NoFaces)
-        monkeypatch.setattr(topology, "TilingFace", NoFaces)
-        with pytest.raises(AssertionError, match="TilingFace"):
-            build_complex(build_ladder(4))
+        forbid_decoding(monkeypatch)
         assert [[link_of_face(k, f, check_model=False) for f in k.faces]
+                for k in ks] == want
+        # A face may be given by its position too.
+        assert [[link_of_face(k, i) for i in range(len(k))]
                 for k in ks] == want
 
     def test_facets_are_the_stored_faces(self, monkeypatch):
@@ -266,9 +266,12 @@ DUNCE_HAT = [(0, 1, 5), (0, 1, 6), (0, 1, 7), (0, 2, 3), (0, 2, 4), (0, 2, 5),
 
 
 def cubical(k):
-    """Cells, proper face relation and dimension of a cubical complex."""
-    return (list(k.faces), lambda a, b: a != b and face_leq(a, b, k.graph),
-            lambda f: f.dim)
+    """Cells, proper face relation and dimension of a cubical complex, its
+    cells the positions of its faces, as its certificates give them."""
+    faces = k.faces
+    return (range(len(faces)),
+            lambda a, b: a != b and face_leq(faces[a], faces[b], k.graph),
+            lambda i: faces[i].dim)
 
 
 def simplicial(sc):
