@@ -2,14 +2,15 @@
 
 A face is a tiling: a partial matching together with a set of pairwise
 vertex-disjoint even elementary regions covering the remaining vertices.
-Faces are stored explicitly, each as two ints: its edge code (the graph's
-``edge_bits``) and its region code, bit r for region r.
+Faces are stored explicitly, each as two ints: its edge code (bit i for
+edge i of the graph's ``edge_list``) and its region code, bit r for region r.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from itertools import groupby, repeat
 from typing import (Callable, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -33,11 +34,13 @@ class TilingFace(NamedTuple):
 
 
 def _face_code(g: PlanarGraph, f) -> Optional[tuple[int, int]]:
-    """(edge code, region code) of a face or (edges, cycles) pair, or None."""
+    """The two codes of a face or pair; None if g lacks an edge or region."""
     try:
         edges, cycles = f
-        return g.edge_code(edges), sum(1 << r for r in set(cycles))
-    except (KeyError, TypeError, ValueError):
+        c = sum(1 << r for r in set(cycles))
+        even = all(map(g.alternation_codes.__getitem__, set_bits(c)))
+        return (g.edge_code(edges), c) if even else None
+    except (IndexError, KeyError, TypeError, ValueError):
         return None
 
 
@@ -48,9 +51,8 @@ class CubicalMatchingComplex:
     order, and ``topology`` slices cells by dimension.
 
     The faces are given as :class:`TilingFace` objects or (edges, cycles)
-    pairs, or as ``codes``, the lists of their edge and region codes in
-    order of dimension.  They are kept as those lists, which the package
-    reads; ``faces`` decodes them when first read."""
+    pairs, or as ``codes``: the lists of their edge and region codes, which
+    the complex keeps and the package reads; ``faces`` decodes them."""
 
     def __init__(self, graph: PlanarGraph, faces: Iterable[TilingFace] = (),
                  codes: Optional[tuple[list[int], list[int]]] = None):
@@ -68,18 +70,26 @@ class CubicalMatchingComplex:
     @cached_property
     def faces(self) -> tuple[TilingFace, ...]:
         """The faces as :class:`TilingFace` objects, decoded on first read."""
-        return tuple(self._decoded(len(self)))
+        return tuple(self._decoded(range(len(self))))
 
-    def _decoded(self, stop: int) -> list[TilingFace]:
-        order = list(self.graph.edge_bits)
-        return [TilingFace(Matching.from_code(e, order),
-                           frozenset(set_bits(c)))
-                for e, c in zip(self._edges[:stop], self._cycles[:stop])]
+    def _decoded(self, positions: Iterable[int]) -> list[TilingFace]:
+        """The faces at these positions; a face's matching is the one above
+        it less its last region's first alternation, if made, else decoded."""
+        g, made, out = self.graph, {}, []
+        for c, run in groupby(positions, self._cycles.__getitem__):
+            es, r = [self._edges[i] for i in run], c.bit_length() - 1
+            a, alt = (g.alternation_codes[r][0], g.regions[r].alternations[0]
+                      ) if c else (0, frozenset())
+            ms = [Matching(m - alt)
+                  if not e & a and (m := made.get(e | a)) is not None
+                  else Matching.from_code(e, g) for e in es]
+            made.update(zip(es, ms))
+            out += map(TilingFace, ms, repeat(frozenset(set_bits(c))))
+        return out
 
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
-        return {code: i for i, code in
-                enumerate(zip(self._edges, self._cycles))}
+        return dict(zip(zip(self._edges, self._cycles), range(len(self))))
 
     def _at(self, edges: int, cycles: int) -> Optional[int]:
         """The position of the face with these codes, or None."""
@@ -108,7 +118,7 @@ class CubicalMatchingComplex:
         return bisect_left(self._cycles, d, key=int.bit_count)
 
     def vertices(self) -> list[TilingFace]:
-        return self._decoded(self._start(1))
+        return self._decoded(range(self._start(1)))
 
     def _facets(self, i: int) -> list[int]:
         """The positions of the 2*dim faces covered by face i: each region r
@@ -119,9 +129,10 @@ class CubicalMatchingComplex:
                 for a in alts[r]]
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The 2*dim faces covered by f, as stored in this complex."""
-        faces = self.faces
-        return [faces[j] for j in self._facets(self.position(f))]
+        """The 2*dim faces covered by f: those of :attr:`faces` once that is
+        read, and until then only these faces decoded."""
+        at, faces = self._facets(self.position(f)), self.__dict__.get("faces")
+        return self._decoded(at) if faces is None else [faces[j] for j in at]
 
     def f_vector(self) -> list[int]:
         starts = [self._start(d) for d in range(self.dim + 2)]
@@ -159,8 +170,7 @@ class CubicalMatchingComplex:
                 count -= 1
         if count == 1:
             return [self]
-        # A face reaches a vertex by releasing each of its regions into its
-        # first alternation.
+        # Release each region of a face into its first alternation: a vertex.
         groups: dict[int, list[int]] = {}
         for i, (e, c) in enumerate(zip(edges, cycles)):
             for r in set_bits(c):
@@ -199,12 +209,12 @@ def build_complex(g: PlanarGraph) -> CubicalMatchingComplex:
     come out in order of (len S, sorted S), and each set's tilings in order
     of their sorted edge lists, which removing a common edge set keeps.  A
     region that shares a vertex with S is skipped by its vertex bits."""
-    bit, vertex = g.edge_bits, {v: 1 << i for i, v in enumerate(g.vertex_ids)}
+    vertex = {v: 1 << i for i, v in enumerate(g.vertex_ids)}
     even = [(i, alts[0], sum(vertex[v] for v in g.regions[i].cycle))
             for i, alts in enumerate(g.alternation_codes) if alts]
     # (S, the vertices of S, the first index of ``even`` above S, the
     # matchings of S); the loop reads the groups it appends.
-    groups = [(0, 0, 0, matchings_of_adjacency(g.vertex_ids, g.adj, bit))]
+    groups = [(0, 0, 0, matchings_of_adjacency(g.vertex_ids, g.adj))]
     edges, cycles = [], []
     for s, covered, start, ms in groups:
         edges += ms
@@ -283,8 +293,7 @@ def _counter_without(g: PlanarGraph, holding: Mapping[Edge, Sequence[int]]
     one search plan of g in :func:`_counting_order`: the vertices are
     covered from the start, and the edge and the regions ``holding[edge]``
     whose boundary holds it, which the subgraph loses, leave the moves."""
-    plan, pos = _search_plan(_counting_order(g), g.adj, _even_regions(g),
-                             g.edge_bits)
+    plan, pos = _search_plan(_counting_order(g), g.adj, _even_regions(g))
 
     def count(vertices: Iterable[int] = (),
               edge: Optional[Edge] = None) -> list[int]:

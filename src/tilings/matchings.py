@@ -1,13 +1,12 @@
 """Tiling and perfect matching enumeration and counting, and the
 cube-coordinate embedding.  A matching is kept as its edge code, in the
-numbering of ``PlanarGraph.edge_bits``, and decoded only to be shown."""
+numbering of ``PlanarGraph.edge_list``, and decoded only to be shown."""
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import count
 from operator import xor
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, Sequence, Union
 
 from .geometry import common_lattice, interior_point, ray_crosses
 from .planar import Edge, GraphError, PlanarGraph
@@ -25,9 +24,9 @@ class Matching(frozenset):
     __slots__ = ()
 
     @classmethod
-    def from_code(cls, code: int, edges: Sequence[Edge]) -> "Matching":
-        """The matching of a code, bit i for ``edges[i]``: the one decoder."""
-        return cls(map(edges.__getitem__, set_bits(code)))
+    def from_code(cls, code: int, g: PlanarGraph) -> "Matching":
+        """The matching of an edge code of g: the one decoder."""
+        return cls(map(g.edge_list.__getitem__, set_bits(code)))
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -52,35 +51,29 @@ class Matching(frozenset):
 def enumerate_perfect_matchings(g: PlanarGraph) -> list[Matching]:
     """All perfect matchings, sorted lexicographically by sorted edge list,
     decoded from the codes of :func:`matchings_of_adjacency`."""
-    edges = list(g.edge_bits)
-    return [Matching.from_code(m, edges)
-            for m in matchings_of_adjacency(g.vertex_ids, g.adj, g.edge_bits)]
+    return [Matching.from_code(m, g)
+            for m in matchings_of_adjacency(g.vertex_ids, g.adj)]
 
 
 def matchings_of_adjacency(vertices: Sequence[int],
-                           adj: Mapping[int, Sequence[int]],
-                           bit: Optional[Mapping[Edge, int]] = None
-                           ) -> list[int]:
+                           adj: Mapping[int, Sequence[int]]) -> list[int]:
     """Every perfect matching of a bare adjacency structure, as its edge
-    code in the numbering ``bit`` (by default that of :func:`_search_plan`),
-    each found once by a backtracking search that covers the first
-    uncovered vertex of ``vertices`` by an edge to each uncovered neighbour
-    in the order of ``adj``.  With sorted vertices and lists, as a
-    PlanarGraph keeps them, the matchings come out in lexicographic order
-    of their sorted edge lists: where two first differ, both cover one
-    vertex, by different edges.
+    code (:func:`_search_plan`), each found once by a backtracking search
+    that covers the first uncovered vertex of ``vertices`` by an edge to
+    each uncovered neighbour in the order of ``adj``.  With sorted vertices
+    and lists, as a PlanarGraph keeps them, the matchings come out in
+    lexicographic order of their sorted edge lists: where two first differ,
+    both cover one vertex, by different edges.
 
     The covered vertices are the bits of one int, bit i for ``vertices[i]``.
-    Frame d of the search holds the covered mask and the code after d edges
-    placed, and an iterator over the untried moves at the first vertex
-    that mask leaves uncovered, its lowest zero bit.
+    Frame d holds the covered mask and code after d edges, and an iterator
+    over the untried moves at the first uncovered vertex, its lowest 0 bit.
     """
     if len(vertices) % 2 == 1:
         return []
     if not vertices:
         return [0]
-    moves = [edge_moves for edge_moves, _ in
-             _search_plan(vertices, adj, (), bit)[0]]
+    moves = [m for m, _ in _search_plan(vertices, adj, ())[0]]
     full = (1 << len(moves)) - 1
     out: list[int] = []
     frames = [(0, 0, iter(moves[0]))]
@@ -107,28 +100,25 @@ _Moves = list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]
 
 def _search_plan(order: Sequence[int],
                  adj: Mapping[int, Sequence[int]],
-                 regions: Iterable[tuple[int, Iterable[int]]],
-                 bit: Optional[Mapping[Edge, int]] = None
+                 regions: Iterable[tuple[int, Iterable[int]]]
                  ) -> tuple[_Moves, dict[int, int]]:
     """The moves of the matching search and the tiling count at each index
     i of their vertex order ``order``, when ``order[i]`` is the first
     uncovered vertex, and each vertex's index, the number of its bit.
 
     Every vertex before i is covered then, so the moves are the edges to
-    later neighbours, as (mask, edge bit) pairs in the order of ``adj``,
+    later neighbours, as (mask, edge bit) pairs in the order of ``adj``, the
+    j-th edge in sorted order having bit j (a PlanarGraph's ``edge_bits``),
     and the regions whose first vertex is ``order[i]``, as (mask, label)
-    pairs.  A mask has bit j set for each vertex ``order[j]`` the move
-    covers, bit i included.  An edge (u, v), u < v, has bit ``bit[u, v]``,
-    by default 1 << j for the j-th edge listed, which for sorted vertices
-    and lists, as a PlanarGraph keeps them, is its ``edge_bits``.
+    pairs.  A mask has bit j for each vertex ``order[j]`` the move covers.
     """
     pos = {v: i for i, v in enumerate(order)}
-    listed = count()
-    moves: _Moves = [
-        ([((1 << i) | (1 << pos[u]),
-           1 << next(listed) if bit is None
-           else bit[(v, u) if v < u else (u, v)])
-          for u in adj[v] if pos[u] > i], []) for i, v in enumerate(order)]
+    ends = [[(min(u, v), max(u, v)) for u in adj[v] if pos[u] > i]
+            for i, v in enumerate(order)]
+    bit = {e: 1 << j
+           for j, e in enumerate(sorted(e for es in ends for e in es))}
+    moves: _Moves = [([((1 << pos[u]) | (1 << pos[v]), bit[u, v])
+                       for u, v in es], []) for es in ends]
     for label, vs in regions:
         vs = [pos[v] for v in vs]
         moves[min(vs)][1].append((sum(1 << j for j in vs), label))
@@ -221,15 +211,14 @@ def cube_coordinates(g: PlanarGraph,
     k, pts = common_lattice([interior_point([lattice[v] for v in r.cycle])
                              for r in g.regions])
     pos = {v: (x * k, y * k) for v, (x, y) in lattice.items()}
-    edges = list(g.edge_bits)
     mask = [sum(1 << i for i, p in enumerate(pts)
-                if ray_crosses(p, pos[u], pos[v])) for u, v in edges]
+                if ray_crosses(p, pos[u], pos[v])) for u, v in g.edge_list]
     bits = {}
     for m in matchings:
         try:
             code = m if isinstance(m, int) else g.edge_code(m)
             placed = set_bits(code) if code >= 0 else None
-            ends = {v for i in placed for v in edges[i]}
+            ends = {v for i in placed for v in g.edge_list[i]}
         except (IndexError, KeyError, TypeError):
             placed = None
         if placed is None or not 2 * len(placed) == len(ends) == len(pos):

@@ -325,9 +325,14 @@ class PlanarGraph:
         return sorted(self.lattice)
 
     @cached_property
+    def edge_list(self) -> tuple[Edge, ...]:
+        """The edges in sorted order: edge i is bit i of an edge code."""
+        return tuple(sorted(self.edges))
+
+    @cached_property
     def edge_bits(self) -> dict[Edge, int]:
-        """Bit i for the i-th edge in sorted order: the code of edge sets."""
-        return {e: 1 << i for i, e in enumerate(sorted(self.edges))}
+        """Each edge's bit in the numbering of :attr:`edge_list`."""
+        return {e: 1 << i for i, e in enumerate(self.edge_list)}
 
     def edge_code(self, edges: Iterable[Edge]) -> int:
         """The code of a set of edges; KeyError for one not in the graph."""
@@ -525,7 +530,7 @@ def classify_edges(g: PlanarGraph) -> EdgeClassification:
     when none does: the bits of the AND and of the OR of their codes."""
     from .matchings import matchings_of_adjacency
 
-    codes = matchings_of_adjacency(g.vertex_ids, g.adj, g.edge_bits)
+    codes = matchings_of_adjacency(g.vertex_ids, g.adj)
     forced = reduce(int.__and__, codes) if codes else 0
     used = reduce(int.__or__, codes, 0)
     return EdgeClassification(

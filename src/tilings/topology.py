@@ -64,8 +64,7 @@ def matched_region_graph(k: CubicalMatchingComplex,
     alternates in and out of the matching of face f of k (or at position
     f), as neighbour sets: two are adjacent when they share an edge."""
     m = k._edges[k.position(f)]
-    # An even region's edges are its two alternations.
-    edges = {r: alts[0] | alts[1]
+    edges = {r: alts[0] | alts[1]  # an even region's boundary
              for r, alts in enumerate(k.graph.alternation_codes)
              if any(m & a == a for a in alts)}
     return {a: {b for b, e in edges.items() if b != a and e & ea}

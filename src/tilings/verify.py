@@ -416,11 +416,9 @@ def check_cube(corpus: Corpus) -> Cases:
 def _off_axis_edge(k: CubicalMatchingComplex,
                    points: list[tuple[int, ...]]) -> Optional[int]:
     """The position of the first 1-face of k whose ends' points, in the
-    order of k's vertices, differ anywhere but at its region, or None, and
-    then every face of k is a full subcube: two vertices below a face that
-    differ only in region r's alternation are the ends of a 1-face, which k
-    holds as it holds every tiling, so the points below are one point plus
-    every sum of the unit vectors of the face's regions."""
+    order of k's vertices, differ anywhere but at its region, or None: then
+    every face is a full subcube, one point plus every sum of the unit
+    vectors of its regions, as k holds every 1-face between its vertices."""
     for i in range(k._start(1), k._start(2)):
         a, b = (points[j] for j in k._facets(i))
         if [j for j, x in enumerate(a) if x != b[j]] != set_bits(k._cycles[i]):

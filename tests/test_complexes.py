@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -14,9 +15,10 @@ from tilings.complexes import (CubicalMatchingComplex, TilingFace,
 from tilings.fixtures import (figure_counterexample, figure_g1, figure_g2,
                               figure_g3, is_simply_connected,
                               triangular_prism)
-from tilings.matchings import Matching, enumerate_perfect_matchings
-from tilings.planar import (GraphError, PlanarGraph, build_ladder,
-                            graph_from_cells)
+from tilings.matchings import (Matching, enumerate_perfect_matchings,
+                               set_bits)
+from tilings.planar import (GraphError, PlanarGraph, build_from_polyomino,
+                            build_ladder, graph_from_cells)
 from tilings.topology import link_of_face, matched_region_graph
 
 SQUARE = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
@@ -185,6 +187,54 @@ class TestForeignFaces:
         for i in (-1, len(k)):
             with pytest.raises(GraphError, match="does not belong"):
                 link_of_face(k, i)
+
+    def test_odd_region(self):
+        k = build_complex(triangular_prism())
+        odd = next(i for i, r in enumerate(k.graph.regions)
+                   if not r.alternations)
+        f = TilingFace(k.faces[0].matching, frozenset({odd}))
+        assert f not in k
+        with pytest.raises(GraphError, match="does not belong"):
+            k.position(f)
+        with pytest.raises(GraphError, match="not a face of the graph"):
+            CubicalMatchingComplex(k.graph, [f])
+
+
+class TestDecoding:
+    """``faces`` decodes each face as its two codes say, also where it
+    derives a face's matching from that of the face above it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ladder(5), triangular_prism, figure_counterexample,
+        lambda: build_from_polyomino("####\n####\n##..")])
+    def test_faces_decode_their_codes(self, build):
+        k = build_complex(build())
+        shuffled = list(k.faces)
+        random.Random(0).shuffle(shuffled)
+        for c in [k, CubicalMatchingComplex(k.graph, shuffled),
+                  *k.connected_components()]:
+            assert list(c.faces) == [
+                TilingFace(Matching.from_code(e, c.graph),
+                           frozenset(set_bits(r)))
+                for e, r in zip(c._edges, c._cycles)]
+            assert c.vertices() == list(c.faces[:c.f_vector()[0]])
+
+    def test_facets_of_decodes_only_its_faces(self, monkeypatch):
+        k = build_complex(build_from_polyomino("###\n###"))
+        want = build_complex(k.graph).faces
+        decoded = []
+        real = Matching.from_code.__func__
+
+        def counted(cls, code, g):
+            decoded.append(code)
+            return real(cls, code, g)
+
+        monkeypatch.setattr(Matching, "from_code", classmethod(counted))
+        top = len(k) - 1
+        facets = k.facets_of(top)
+        assert facets == [want[j] for j in k._facets(top)]
+        assert len(decoded) == len(facets) == 2 * want[top].dim > 0
+        assert "faces" not in vars(k)
 
 
 class TestFaceRepr:

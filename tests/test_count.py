@@ -164,7 +164,7 @@ def test_counts_without_match_subgraph_counts(case):
     edge = min(re, default=None)
     plan, pos = _search_plan(g.vertex_ids, g.adj,
                              [(i, r.cycle) for i, r in enumerate(g.regions)
-                              if r.alternations], g.edge_bits)
+                              if r.alternations])
     start = sum(1 << pos[v] for v in rv)
     labels = [i for i, r in enumerate(g.regions) if edge in r.edge_set]
     assert count_on_plan(plan, start, g.edge_bits.get(edge, 0),
@@ -235,7 +235,7 @@ def test_bypass_guard_sees_each_kind():
 def forbid_decoding(monkeypatch):
     """Make every decoding of a code, into a matching and so into a face,
     fail from now on, and check that it does."""
-    def decode(cls, code, edges):
+    def decode(cls, code, g):
         raise AssertionError("a code was decoded")
     monkeypatch.setattr(Matching, "from_code", classmethod(decode))
     with pytest.raises(AssertionError, match="decoded"):

@@ -105,10 +105,9 @@ def assert_fast_paths_match(g, seed=0):
     regions = _even_regions(g)
     want = set_search(g.vertex_ids, g.adj, regions)
     # The same perfect matchings, in the same order, coded in the numbering
-    # of g's edges whether or not it is passed.
+    # of g's edges.
     codes = matchings_of_adjacency(g.vertex_ids, g.adj)
-    assert codes == matchings_of_adjacency(g.vertex_ids, g.adj, g.edge_bits)
-    assert ([Matching.from_code(m, list(g.edge_bits)) for m in codes]
+    assert ([Matching.from_code(m, g) for m in codes]
             == [m for m, _ in set_search(g.vertex_ids, g.adj)])
     counts = [0] * (max((len(s) for _, s in want), default=-1) + 1)
     for _, s in want:

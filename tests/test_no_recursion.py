@@ -130,11 +130,10 @@ def collector_lines(tree):
     return sorted(found)
 
 
-# The name is older than the guard: complexes.py once paused the collector,
-# and was the one module allowed to name it.  Now none is.
 @pytest.mark.parametrize("name", sorted(
     p.name for p in Path(tilings.__file__).parent.glob("*.py")))
 def test_only_complexes_names_the_collector(name):
+    """No module of the package names ``gc``."""
     path = Path(tilings.__file__).parent / name
     assert collector_lines(ast.parse(path.read_text())) == []
 
