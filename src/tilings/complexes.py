@@ -129,8 +129,7 @@ class CubicalMatchingComplex:
                 for a in alts[r]]
 
     def facets_of(self, f: TilingFace) -> list[TilingFace]:
-        """The 2*dim faces covered by f: those of :attr:`faces` once that is
-        read, and until then only these faces decoded."""
+        """The 2*dim facets of f, decoded alone until ``faces`` is read."""
         at, faces = self._facets(self.position(f)), self.__dict__.get("faces")
         return self._decoded(at) if faces is None else [faces[j] for j in at]
 
@@ -298,7 +297,8 @@ def _counter_without(g: PlanarGraph, holding: Mapping[Edge, Sequence[int]]
     def count(vertices: Iterable[int] = (),
               edge: Optional[Edge] = None) -> list[int]:
         return count_on_plan(plan, sum(1 << pos[v] for v in vertices),
-                             g.edge_bits.get(edge, 0), holding.get(edge, ()))
+                             sum(1 << pos[v] for v in edge or ()),
+                             holding.get(edge, ()))
 
     return count
 

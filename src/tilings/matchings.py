@@ -5,6 +5,7 @@ numbering of ``PlanarGraph.edge_list``, and decoded only to be shown."""
 from __future__ import annotations
 
 from functools import reduce
+from itertools import count
 from operator import xor
 from typing import Container, Iterable, Mapping, Sequence, Union
 
@@ -61,9 +62,10 @@ def matchings_of_adjacency(vertices: Sequence[int],
     code (:func:`_search_plan`), each found once by a backtracking search
     that covers the first uncovered vertex of ``vertices`` by an edge to
     each uncovered neighbour in the order of ``adj``.  With sorted vertices
-    and lists, as a PlanarGraph keeps them, the matchings come out in
-    lexicographic order of their sorted edge lists: where two first differ,
-    both cover one vertex, by different edges.
+    and lists, as a PlanarGraph keeps them, the codes number the graph's
+    ``edge_list`` and come out in lexicographic order of their sorted edge
+    lists: where two first differ, both cover one vertex, by different
+    edges.
 
     The covered vertices are the bits of one int, bit i for ``vertices[i]``.
     Frame d holds the covered mask and code after d edges, and an iterator
@@ -107,18 +109,16 @@ def _search_plan(order: Sequence[int],
     uncovered vertex, and each vertex's index, the number of its bit.
 
     Every vertex before i is covered then, so the moves are the edges to
-    later neighbours, as (mask, edge bit) pairs in the order of ``adj``, the
-    j-th edge in sorted order having bit j (a PlanarGraph's ``edge_bits``),
-    and the regions whose first vertex is ``order[i]``, as (mask, label)
-    pairs.  A mask has bit j for each vertex ``order[j]`` the move covers.
+    later neighbours, as (mask, edge bit) pairs in the order of ``adj``,
+    the j-th edge listed having bit j, and the regions whose first vertex
+    is ``order[i]``, as (mask, label) pairs.  A mask has bit j for each
+    vertex ``order[j]`` the move covers.
     """
     pos = {v: i for i, v in enumerate(order)}
-    ends = [[(min(u, v), max(u, v)) for u in adj[v] if pos[u] > i]
-            for i, v in enumerate(order)]
-    bit = {e: 1 << j
-           for j, e in enumerate(sorted(e for es in ends for e in es))}
-    moves: _Moves = [([((1 << pos[u]) | (1 << pos[v]), bit[u, v])
-                       for u, v in es], []) for es in ends]
+    listed = count()
+    moves: _Moves = [([((1 << i) | (1 << pos[u]), 1 << next(listed))
+                       for u in adj[v] if pos[u] > i], [])
+                     for i, v in enumerate(order)]
     for label, vs in regions:
         vs = [pos[v] for v in vs]
         moves[min(vs)][1].append((sum(1 << j for j in vs), label))
@@ -142,9 +142,9 @@ def count_tilings(vertices: Sequence[int],
 def count_on_plan(moves: _Moves, start: int = 0, edge: int = 0,
                   labels: Container[int] = ()) -> list[int]:
     """:func:`count_tilings` on the plan ``moves`` of a graph, with the
-    vertices of the bits of ``start`` deleted, and the edge of bit ``edge``
-    (none for 0) with the regions labelled in ``labels`` (those whose
-    boundary holds it) deleted too.
+    vertices of the bits of ``start`` deleted, and the edge joining the two
+    vertices of the bits of ``edge`` (none for 0) with the regions labelled
+    in ``labels`` (those whose boundary holds it) deleted too.
 
     The search makes the plan's moves, run forward over the vertex order.
     A state is the set of covered vertices, as a bitmask like the plan's
@@ -165,8 +165,8 @@ def count_on_plan(moves: _Moves, start: int = 0, edge: int = 0,
         bit = 1 << i
         for mask in [m for m in states if not m & bit]:
             counts = states.pop(mask)
-            for b, e in edge_moves:
-                if not mask & b and e != edge:
+            for b, _ in edge_moves:
+                if not mask & b and b != edge:
                     key = mask | b
                     old = states.get(key)
                     states[key] = counts if old is None else _add(old, counts)

@@ -219,6 +219,14 @@ class TestDecoding:
                 for e, r in zip(c._edges, c._cycles)]
             assert c.vertices() == list(c.faces[:c.f_vector()[0]])
 
+    def test_pairs_that_are_no_tilings_decode_as_given(self):
+        # (M, {0}) with M holding region 0's alternation is no tiling, yet a
+        # complex made of it reads it back as given, not as M less those.
+        g = c4()
+        m = Matching(g.regions[0].alternations[0])
+        given = [TilingFace(m, frozenset()), TilingFace(m, frozenset({0}))]
+        assert list(CubicalMatchingComplex(g, given).faces) == given
+
     def test_facets_of_decodes_only_its_faces(self, monkeypatch):
         k = build_complex(build_from_polyomino("###\n###"))
         want = build_complex(k.graph).faces

@@ -167,7 +167,7 @@ def test_counts_without_match_subgraph_counts(case):
                               if r.alternations])
     start = sum(1 << pos[v] for v in rv)
     labels = [i for i, r in enumerate(g.regions) if edge in r.edge_set]
-    assert count_on_plan(plan, start, g.edge_bits.get(edge, 0),
+    assert count_on_plan(plan, start, sum(1 << pos[v] for v in edge or ()),
                          labels) == count_f_vector(
         g.subgraph(remove_vertices=rv, remove_edges=[edge] if edge else []))
 
