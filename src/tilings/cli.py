@@ -129,6 +129,8 @@ def cmd_poly(args) -> int:
     elif kind == "A":
         d = _at_most("d", int(params[0]), _MAX_POLY_D)
         k = int(params[1]) if len(params) > 1 else 0
+        if d < 0:  # apply_A's test, made before k is compared with d
+            raise ValueError("d must be >= 0")
         if k > d:  # before x^k is built: it holds k + 1 coefficients
             raise ValueError(f"degree {k} exceeds the map's domain bound {d}")
         poly = apply_A(d, ONE.shift(k))

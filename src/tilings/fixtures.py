@@ -138,6 +138,25 @@ def is_simply_connected(cells: frozenset[Cell]) -> bool:
     return len(corners) - len(across) - len(down) + len(cells) == 1
 
 
+def _child_orbit(images: list[int], r1: int, c1: int, cell: Cell,
+                 w: int) -> list[int]:
+    """The :func:`_orbit` codes of P | {cell}, image by image, from the
+    codes ``images`` of P at width w, for P touching both axes with greatest
+    row r1 and column c1 and a free neighbour ``cell`` of P.  In each image
+    the new cell either lies in P's box or stretches it on one side; on a
+    low side it sits at -1, and the image of P moves one step off that axis.
+    """
+    r, c = cell
+    top = w * w - 1
+    out = []
+    for image, (a, b) in zip(images, (
+            (r, c), (r, c1 - c), (r1 - r, c), (r1 - r, c1 - c),
+            (c, r), (c, r1 - r), (c1 - c, r), (c1 - c, r1 - r))):
+        da, db = a < 0, b < 0
+        out.append(image >> (da * w + db) | 1 << (top - (a + da) * w - b - db))
+    return out
+
+
 @lru_cache(maxsize=None)
 def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
     """All free polyominoes with exactly n cells, canonically normalized,
@@ -145,9 +164,10 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
 
     Each child P | {nb} of a smaller free polyomino P is looked up by its
     translated code of :func:`_orbit` (width n, above every row and
-    column); the first child of each symmetry class has its orbit coded
-    once, all 8 images marked seen and the greatest code, the least cell
-    list, kept (Redelmeier's generate-and-canonicalise).
+    column); the first child of each symmetry class has its 8 codes grown
+    from P's (:func:`_child_orbit`), all marked seen and the greatest code,
+    the least cell list, kept (Redelmeier's generate-and-canonicalise).
+    P's own codes at width n are made once, for its first unseen child.
     """
     if n == 1:
         return (frozenset({(0, 0)}),)
@@ -156,6 +176,7 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
     kept = []
     for smaller in free_polyominoes(n - 1):
         bits = sum(1 << (top - r * n - c) for r, c in smaller)
+        images: Optional[list[int]] = None
         free = {nb for r, c in smaller
                 for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
                 if nb not in smaller}
@@ -165,7 +186,11 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
             key = bits >> (dr * n + dc) | 1 << (top - (nr + dr) * n - nc - dc)
             if key in seen:
                 continue
-            orbit = _orbit(smaller | {(nr, nc)}, n)
+            if images is None:
+                images = _orbit(smaller, n)
+                rs, cs = zip(*smaller)
+                r1, c1 = max(rs), max(cs)
+            orbit = _child_orbit(images, r1, c1, (nr, nc), n)
             seen.update(orbit)
             kept.append(max(orbit))
     del seen  # before the level's frozensets, to lower the peak
@@ -174,16 +199,21 @@ def free_polyominoes(n: int) -> tuple[frozenset[Cell], ...]:
 
 
 def _has_perfect_matching(cells: frozenset[Cell]) -> bool:
-    """Whether the cells have a domino tiling, by the perfect matching search.
-
-    A domino covers one cell of each checkerboard colour, so cells whose
-    colours differ in number are rejected before the search."""
-    if 2 * sum((r + c) % 2 for r, c in cells) != len(cells):
-        return False
+    """Whether the cells have a domino tiling, by the perfect matching
+    search."""
     adj = {(r, c): [nb for nb in ((r - 1, c), (r, c - 1), (r, c + 1),
                                   (r + 1, c)) if nb in cells]
            for r, c in cells}
     return bool(matchings_of_adjacency(sorted(cells), adj))
+
+
+def _simply_tileable(cells: frozenset[Cell]) -> bool:
+    """Whether the cells are simply connected and have a domino tiling.
+
+    A domino covers one cell of each checkerboard colour, so cells whose
+    colours differ in number are rejected first, before either search."""
+    return (2 * sum((r + c) % 2 for r, c in cells) == len(cells)
+            and is_simply_connected(cells) and _has_perfect_matching(cells))
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +224,7 @@ def polyomino_zoo(max_cells: int = 10) -> tuple[tuple[str, frozenset[Cell]], ...
     zoo = []
     for n in range(2, max_cells + 1, 2):
         for i, cells in enumerate(free_polyominoes(n)):
-            if is_simply_connected(cells) and _has_perfect_matching(cells):
+            if _simply_tileable(cells):
                 zoo.append((f"poly-{n}-{i}", cells))
     return tuple(zoo)
 
@@ -224,7 +254,7 @@ def random_quad_glued(seed: int, count: int = 20,
         canon = canonical_form(cells)
         if canon in seen:
             continue
-        if not is_simply_connected(cells) or not _has_perfect_matching(cells):
+        if not _simply_tileable(cells):
             continue
         seen.add(canon)
         out.append((f"random-{seed}-{len(out)}", cells))

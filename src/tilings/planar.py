@@ -345,6 +345,17 @@ class PlanarGraph:
                      for r in self.regions)
 
     @cached_property
+    def even_region_codes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Each even region r as (1 << r, its two alternation codes, the
+        code of its even neighbours, those sharing an edge with it)."""
+        alts = self.alternation_codes
+        # An even region's two alternations split its boundary.
+        bounds = [sum(a) for a in alts]
+        return tuple((1 << r, *alts[r], sum(
+            1 << s for s, b in enumerate(bounds) if s != r and bounds[r] & b))
+            for r in range(len(alts)) if alts[r])
+
+    @cached_property
     def _components(self) -> int:
         """The number of connected components; a graph built by __init__
         has it from there."""

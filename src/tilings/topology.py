@@ -58,17 +58,31 @@ def independence_complex(h: Mapping[object, Collection]) -> SimplicialComplex:
                              frozenset(facets))
 
 
+def _matched_regions(k: CubicalMatchingComplex, i: int
+                     ) -> tuple[int, tuple[int, ...]]:
+    """The matched-region graph of face i of k as ints: the code of the
+    regions whose boundary alternates in and out of its matching, and each
+    such region's neighbours among them as a code, in region order."""
+    m, mask, near = k._edges[i], 0, []
+    for bit, a, b, nbrs in k.graph.even_region_codes:
+        if m & a == a or m & b == b:
+            mask |= bit
+            near.append(nbrs)
+    return mask, tuple(n & mask for n in near)
+
+
+def _region_graph(mask: int, near: tuple[int, ...]) -> dict[int, set[int]]:
+    """The neighbour sets of a graph on regions given as by
+    :func:`_matched_regions`."""
+    return {r: set(set_bits(n)) for r, n in zip(set_bits(mask), near)}
+
+
 def matched_region_graph(k: CubicalMatchingComplex,
                          f: Union[TilingFace, int]) -> dict[int, set[int]]:
     """The subgraph of the weak dual induced on regions whose boundary
     alternates in and out of the matching of face f of k (or at position
     f), as neighbour sets: two are adjacent when they share an edge."""
-    m = k._edges[k.position(f)]
-    edges = {r: alts[0] | alts[1]  # an even region's boundary
-             for r, alts in enumerate(k.graph.alternation_codes)
-             if any(m & a == a for a in alts)}
-    return {a: {b for b, e in edges.items() if b != a and e & ea}
-            for a, ea in edges.items()}
+    return _region_graph(*_matched_regions(k, k.position(f)))
 
 
 def link_of_face(k: CubicalMatchingComplex, f: Union[TilingFace, int],

@@ -26,9 +26,9 @@ from .fibpoly import (ONE, Poly, X, _ladder_f_base, a_unit_closed_form,
 from .fixtures import figure_counterexample, iter_fixture_graphs
 from .matchings import cube_coordinates, set_bits
 from .planar import PlanarGraph, reduce_graph
-from .topology import (_certify_link, collapse_search, independence_complex,
-                       kozlov_reference_betti, link_of_face,
-                       matched_region_graph, z2_betti)
+from .topology import (_certify_link, _matched_regions, _region_graph,
+                       collapse_search, independence_complex,
+                       kozlov_reference_betti, link_of_face, z2_betti)
 
 
 @dataclass
@@ -98,7 +98,7 @@ class Corpus:
         self._complexes: dict[str, CubicalMatchingComplex] = {}
         self._components: dict[str, list[CubicalMatchingComplex]] = {}
         self._face_models: dict[str, list[LinkModel]] = {}
-        self._link_models: dict[frozenset, LinkModel] = {}
+        self._link_models: dict[tuple, LinkModel] = {}
 
     def graphs(self) -> list[tuple[str, PlanarGraph]]:
         if self._graphs is None:
@@ -122,21 +122,29 @@ class Corpus:
 
     def link_models(self, name: str, g: PlanarGraph) -> list[LinkModel]:
         """The link model of each face of the complex, in face order, each
-        face's matched-region graph built and looked up once per run."""
+        face's matched-region graph read as ints and looked up once per
+        run."""
         if name not in self._face_models:
             k = self.complex(name, g)
             self._face_models[name] = [
-                self.link_model(matched_region_graph(k, i))
+                self._link_model(_matched_regions(k, i))
                 for i in range(len(k))]
         return self._face_models[name]
 
     def link_model(self, h: Mapping[int, Collection[int]]) -> LinkModel:
         """The link model of a face whose matched-region graph is h, shared
         by every face whose graph has the same labelled adjacency."""
-        key = frozenset((r, frozenset(nbrs)) for r, nbrs in h.items())
-        if key not in self._link_models:
-            self._link_models[key] = LinkModel(h)
-        return self._link_models[key]
+        regions = sorted(h)
+        return self._link_model((sum(1 << r for r in regions), tuple(
+            sum(1 << s for s in set(h[r])) for r in regions)))
+
+    def _link_model(self, key: tuple[int, tuple[int, ...]]) -> LinkModel:
+        """The link model of the matched-region graph given as by
+        :func:`_matched_regions`, built when its key is first seen."""
+        model = self._link_models.get(key)
+        if model is None:
+            model = self._link_models[key] = LinkModel(_region_graph(*key))
+        return model
 
 
 def _bipartite(adj: Mapping[object, Collection]) -> bool:

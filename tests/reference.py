@@ -5,7 +5,8 @@ definition: the face order by direct comparison (the package walks covers),
 a simplicial complex by keeping its maximal faces (the package lists facets
 directly), the boundary of a boundary, the weak dual of a drawing (the
 package builds only its induced subgraphs, in ``matched_region_graph``),
-the vertex centroid as a Fraction point (the package tests it as an int
+the matched-region graph of a face read off the weak dual (the package
+reads it from region codes), the vertex centroid as a Fraction point (the package tests it as an int
 point in the polygon scaled by its vertex count), the cube embedding
 tested on the vertices below every face (the package tests each 1-face),
 and the edge-connectivity of a polyomino's cells by a search over their
@@ -88,6 +89,18 @@ def weak_dual(g: PlanarGraph) -> DualGraph:
     return DualGraph(tuple(range(len(rs))), frozenset(
         (i, j) for i in range(len(rs)) for j in range(i + 1, len(rs))
         if not rs[i].edge_set.isdisjoint(rs[j].edge_set)))
+
+
+def matched_region_graph_by_definition(k: CubicalMatchingComplex, i: int
+                                       ) -> dict[int, set[int]]:
+    """The matched-region graph of face i of k read off the weak dual: the
+    regions with an alternation inside the face's matching, adjacent when
+    they share an edge."""
+    g, m = k.graph, k.faces[i].matching
+    matched = {r for r, region in enumerate(g.regions)
+               if any(alt <= m for alt in region.alternations)}
+    dual = weak_dual(g)
+    return {r: dual.neighbors(r) & matched for r in matched}
 
 
 def vertex_centroid(poly: Sequence[Point]) -> Point:

@@ -323,6 +323,15 @@ def test_poly_negative_power_fails(capsys):
     assert "x^-1" in err
 
 
+@pytest.mark.parametrize("params", [["-1"], ["-1", "-1"]])
+def test_poly_negative_domain_bound_fails(capsys, params):
+    # d is tested before k is compared with it, with apply_A's message.
+    code, out, err = run(capsys, "poly", "A", *params)
+    assert code == 2
+    assert out == ""
+    assert err == "error: d must be >= 0\n"
+
+
 def test_poly_power_above_the_bound_fails_before_it_is_built(capsys):
     # x^(10**12) would need 10**12 coefficients: k is checked against d
     # first, with apply_A's message.

@@ -248,7 +248,8 @@ TEST_ONLY = ["face_leq", "from_faces", "boundary_of_boundary_vanishes",
              "weak_dual", "DualGraph", "symmetric_difference_cycles",
              "CycleDecomposition", "region_order", "max_regions",
              "max_faces", "_vertices_below", "is_subcube", "_is_subcube",
-             "vertex_set", "_cell_label", "cells_connected", "parity"]
+             "vertex_set", "_cell_label", "cells_connected", "parity",
+             "matched_region_graph_by_definition"]
 
 
 def test_reference_names_stay_out_of_the_package():

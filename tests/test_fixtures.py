@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from reference import cells_connected
 from tilings.complexes import build_complex
-from tilings.fixtures import (_has_perfect_matching, canonical_form,
+from tilings.fixtures import (_child_orbit, _has_perfect_matching, _orbit,
+                              _simply_tileable, canonical_form,
                               core_fixture_names, free_polyominoes,
                               is_simply_connected,
                               iter_fixture_graphs, ladder_parameters,
@@ -103,7 +104,7 @@ def per_pair_free_polyominoes(max_n):
 
 
 def test_free_polyominoes_match_per_pair_generator():
-    for n, level in enumerate(per_pair_free_polyominoes(9), 1):
+    for n, level in enumerate(per_pair_free_polyominoes(10), 1):
         assert free_polyominoes(n) == level
 
 
@@ -202,6 +203,25 @@ def test_euler_count_matches_search(cells):
     assert is_simply_connected(cells) == search_simply_connected(cells)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_connected_in_box())
+@example(RING)
+@example(frozenset({(0, 0)}))
+def test_child_orbits_grow_from_the_parent(cells):
+    # Every free neighbour of a shape touching both axes, holes included,
+    # at the width free_polyominoes uses for the child.
+    r0, c0 = (min(axis) for axis in zip(*cells))
+    p = frozenset((r - r0, c - c0) for r, c in cells)
+    n = len(p) + 1
+    images = _orbit(p, n)
+    r1, c1 = (max(axis) for axis in zip(*p))
+    free = {nb for r, c in p
+            for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
+            if nb not in p}
+    for cell in free:
+        assert _child_orbit(images, r1, c1, cell, n) == _orbit(p | {cell}, n)
+
+
 def test_euler_count_matches_search_on_free_polyominoes():
     shapes = [cells for n in range(1, 11) for cells in free_polyominoes(n)]
     assert len(shapes) == 6473
@@ -239,8 +259,8 @@ def test_tileability_matches_hopcroft_karp(n):
 
 
 def test_colour_count_rejects_only_untileable_shapes():
-    # The search alone, with no colour count in front of it, decides every
-    # free polyomino of at most 10 cells the same way.
+    # The searches alone, with no colour count in front of them, decide
+    # every free polyomino of at most 10 cells the same way.
     rejected = 0
     for n in range(1, 11):
         for cells in free_polyominoes(n):
@@ -248,7 +268,8 @@ def test_colour_count_rejects_only_untileable_shapes():
                                           (r + 1, c)) if nb in cells]
                    for r, c in cells}
             searched = bool(matchings_of_adjacency(sorted(cells), adj))
-            assert _has_perfect_matching(cells) == searched
+            assert _simply_tileable(cells) == (
+                searched and is_simply_connected(cells))
             rejected += n % 2 == 0 and 2 * sum((r + c) % 2
                                                for r, c in cells) != n
     # Some shapes of an even size are rejected by the count alone.

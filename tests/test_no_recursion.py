@@ -132,7 +132,7 @@ def collector_lines(tree):
 
 @pytest.mark.parametrize("name", sorted(
     p.name for p in Path(tilings.__file__).parent.glob("*.py")))
-def test_only_complexes_names_the_collector(name):
+def test_no_module_names_the_collector(name):
     """No module of the package names ``gc``."""
     path = Path(tilings.__file__).parent / name
     assert collector_lines(ast.parse(path.read_text())) == []

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import face_leq
+from reference import (face_leq, matched_region_graph_by_definition,
+                       polyominoes)
 from tilings import topology, verify
 from tilings.complexes import CubicalMatchingComplex, build_complex
-from tilings.planar import build_ladder
+from tilings.fixtures import named_fixture
+from tilings.planar import build_ladder, graph_from_cells
 from tilings.topology import (independence_complex, matched_region_graph,
                               z2_betti)
 from tilings.verify import (CHECKS, Bounds, CheckResult, Corpus, _bipartite,
@@ -194,6 +196,42 @@ def test_corpus_builds_each_link_model_once(monkeypatch):
     keys = {frozenset((r, frozenset(nbrs)) for r, nbrs in h.items())
             for h in calls}
     assert len(keys) == len(calls)
+
+
+def assert_models_follow_graph_keys(corpus):
+    """Every face's model is Ind of its matched-region graph, and two faces
+    share a model exactly when their graphs, keyed as frozensets of
+    (region, neighbours) pairs, are equal."""
+    by_key = {}
+    for name, g in corpus.graphs():
+        k = corpus.complex(name, g)
+        for i, model in enumerate(corpus.link_models(name, g)):
+            h = matched_region_graph(k, i)
+            assert h == matched_region_graph_by_definition(k, i)
+            assert model.complex == independence_complex(h)
+            assert corpus.link_model(h) is model
+            key = frozenset((r, frozenset(nbrs)) for r, nbrs in h.items())
+            assert by_key.setdefault(key, model) is model
+    assert len(set(map(id, by_key.values()))) == len(by_key)
+
+
+def test_link_models_follow_graph_keys_on_the_small_corpus():
+    assert_models_follow_graph_keys(Corpus(SMALL))
+
+
+def test_link_models_follow_graph_keys_on_the_figures():
+    corpus = Corpus(SMALL)
+    corpus._graphs = [(name, named_fixture(name))
+                      for name in ("g1", "g2", "g3", "figure2", "prism")]
+    assert_models_follow_graph_keys(corpus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyominoes())
+def test_link_models_follow_graph_keys_on_polyominoes(cells):
+    corpus = Corpus(SMALL)
+    corpus._graphs = [("shape", graph_from_cells(set(cells)))]
+    assert_models_follow_graph_keys(corpus)
 
 
 def test_corrupted_link_model_fails_links():
